@@ -18,8 +18,10 @@
 // flight recorder; after a kill, declpat-trace -postmortem FLIGHT_DIR
 // reconstructs the dead worker's final moments. With -watch the launcher
 // prints a live per-epoch imbalance line as the workers' streamed phase data
-// completes each epoch, and -metrics ADDR serves the fleet's straggler
-// gauges and departure census as OpenMetrics at http://ADDR/metrics:
+// completes each epoch, and -metrics ADDR serves OpenMetrics at
+// http://ADDR/metrics: the fleet's straggler gauges and departure census
+// (declpat_fleet_*) plus every worker's substrate counters, gauges, and
+// phase histograms, labelled process="worker-<i>":
 //
 //	declpat-launch -algo sssp -workers 4 -trace-dir /tmp/trace -flight-dir /tmp/flight -watch
 package main
@@ -28,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -58,7 +61,7 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "flight-recorder dump directory (default: the checkpoint dir; declpat-trace -postmortem)")
 	ckptDir := flag.String("ckpt-dir", "", "checkpoint slot directory (default: a temp dir removed after the run)")
 	watch := flag.Bool("watch", false, "print a live per-epoch straggler/imbalance line")
-	metricsAddr := flag.String("metrics", "", "serve fleet OpenMetrics (straggler gauges, departure census) on this address")
+	metricsAddr := flag.String("metrics", "", "serve fleet OpenMetrics (straggler gauges, departure census, per-worker substrate telemetry) on this address")
 	workerBin := flag.String("worker-bin", "", "worker executable (default: this binary, self-exec)")
 	timeout := flag.Duration("round-timeout", 30*time.Second, "control-round watchdog")
 	flag.Parse()
@@ -95,13 +98,12 @@ func main() {
 		spec.Kill = &mp.KillSpec{Worker: *killWorker, Epoch: *killEpoch, Mode: *killMode}
 	}
 
-	mon := mp.NewFleetMonitor()
-	spec.OnStraggler = func(st mp.StragglerStat) {
-		mon.Straggler(st)
-		if *watch {
-			fmt.Fprintln(os.Stderr, "declpat-launch: "+st.String())
-		}
+	var watchOut io.Writer
+	if *watch {
+		watchOut = os.Stderr
 	}
+	mon := mp.NewFleetMonitor(watchOut)
+	spec.Monitor = mon
 	if *metricsAddr != "" {
 		srv, err := harness.NewDebugServer(*metricsAddr)
 		if err != nil {

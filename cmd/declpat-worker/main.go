@@ -1,29 +1,23 @@
-// declpat-worker is the external worker process of the distributed runtime,
-// in one of two modes.
+// declpat-worker is a rank-host worker process of the distributed runtime.
+// It dials the launcher's control plane, receives its job and contiguous
+// global rank range in the welcome frame, and runs the unmodified algorithm
+// kernels with every barrier, gather, termination wave, and recovery fence
+// carried as wire frames. While it runs it streams its trace batches and
+// substrate telemetry to the launcher, which serves the telemetry per worker
+// on declpat-launch -metrics. Kill it mid-run and the launcher respawns it;
+// the replacement reloads the last committed checkpoint and the fleet
+// converges on a result bit-identical to the fault-free run.
 //
-// Rank-host mode (-host, or the DECLPAT_MP_ADDR / DECLPAT_MP_WORKER
-// environment set by declpat-launch): the process dials the launcher's
-// control plane, receives its job and contiguous global rank range in the
-// welcome frame, and runs the unmodified algorithm kernels with every
-// barrier, gather, termination wave, and recovery fence carried as wire
-// frames. Kill it mid-run and the launcher respawns it; the replacement
-// reloads the last committed checkpoint and the fleet converges on a result
-// bit-identical to the fault-free run.
+// declpat-launch normally spawns copies of itself as workers (configured by
+// the DECLPAT_MP_ADDR / DECLPAT_MP_WORKER environment); this binary is the
+// standalone form, for launches given -worker-bin or for dialing a
+// launcher by hand:
 //
-// Relay mode (-listen, the default): a stateless frame relay for the socket
-// transport. A universe configured with SockOptions.Relay pointed at a
-// running worker dials every inter-rank connection *through* it — the worker
-// reads a small hello naming the target rank's listen address, dials it, and
-// splices the two connections byte-for-byte. The same listener answers
-// telemetry queries (relay.QueryTelemetry).
-//
-// Usage:
-//
-//	declpat-worker -listen tcp://127.0.0.1:9730
-//	declpat-worker -listen unix:///tmp/declpat-worker.sock
 //	declpat-worker -host 127.0.0.1:9731 -index 2
 //
-// Exit codes (rank-host mode; the launcher logs which it saw on respawn):
+// Without -host it prints usage and exits 2.
+//
+// Exit codes (the launcher logs which it saw on respawn):
 //
 //	0 clean completion or graceful SIGTERM departure
 //	1 fatal error (bad job, dial failure)
@@ -31,23 +25,14 @@
 //	3 restart requested (the fleet aborted; respawn me)
 //	4 control peer closed the connection
 //	5 control frame failed to decode (protocol damage, not a dead peer)
-//
-// Relay mode reuses codes 1, 2, and 4 (4 when the listener died to a
-// connection-level error rather than a local fault).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"declpat/internal/mp"
-	"declpat/internal/relay"
 )
 
 func main() {
@@ -55,61 +40,14 @@ func main() {
 	// does not return for them.
 	mp.MaybeWorker()
 
-	listen := flag.String("listen", "tcp://127.0.0.1:9730",
-		"relay listen address (tcp://host:port or unix:///path)")
-	name := flag.String("name", "relay",
-		"process name reported in telemetry frames")
-	host := flag.String("host", "",
-		"control-plane address to dial as a rank host (switches off relay mode)")
-	index := flag.Int("index", -1,
-		"worker index within the fleet (rank-host mode)")
+	host := flag.String("host", "", "control-plane address of the launcher to dial")
+	index := flag.Int("index", -1, "worker index within the fleet")
 	flag.Parse()
 
-	if *host != "" {
-		if *index < 0 {
-			fmt.Fprintln(os.Stderr, "declpat-worker: -host needs -index")
-			os.Exit(mp.ExitUsage)
-		}
-		os.Exit(mp.RunWorker(*host, *index))
-	}
-
-	network, addr, err := relay.SplitAddr(*listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "declpat-worker:", err)
+	if *host == "" || *index < 0 {
+		fmt.Fprintln(os.Stderr, "declpat-worker: -host and -index are required")
+		flag.Usage()
 		os.Exit(mp.ExitUsage)
 	}
-	if network == "unix" {
-		// A stale socket file from a killed predecessor would block the
-		// restart-on-same-address workflow.
-		os.Remove(addr)
-	}
-	ln, err := net.Listen(network, addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "declpat-worker:", err)
-		os.Exit(mp.ExitFatal)
-	}
-	fmt.Printf("declpat-worker: relaying on %s://%s (telemetry on the same address)\n", network, ln.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		ln.Close()
-	}()
-
-	if err := relay.NewServer(*name).Serve(ln); err != nil {
-		fmt.Fprintln(os.Stderr, "declpat-worker:", err)
-		os.Exit(relayExitCode(err))
-	}
-}
-
-// relayExitCode distinguishes a listener killed by a connection-level error
-// from a local fault, mirroring the rank-host codes.
-func relayExitCode(err error) int {
-	var oe *net.OpError
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.As(err, &oe) {
-		return mp.ExitPeerClosed
-	}
-	return mp.ExitFatal
+	os.Exit(mp.RunWorker(*host, *index))
 }

@@ -75,9 +75,8 @@ type (
 	// in-process channel backend, or real sockets via SockTransport.
 	Transport = am.Transport
 	// SockOptions configures the socket transport: network (tcp/unix),
-	// heartbeat and liveness deadlines, reconnect backoff and budget, an
-	// optional relay (cmd/declpat-worker) address, and socket-level fault
-	// injection.
+	// heartbeat and liveness deadlines, reconnect backoff and budget, and
+	// socket-level fault injection.
 	SockOptions = am.SockOptions
 	// SockFaultPlan injects deterministic socket-level failures into a
 	// socket transport: connection kills, one-way partitions, link flaps.
@@ -552,11 +551,11 @@ func PathGraph(n int, w WeightSpec, seed uint64) []Edge { return gen.Path(n, w, 
 // HTTP server behind /metrics. See DESIGN.md "Telemetry plane".
 type (
 	// Metrics is the full observability snapshot (Universe.Metrics): counters,
-	// per-rank breakdowns, per-type traffic, phase histograms, and the
-	// per-process telemetry merge.
+	// per-rank breakdowns, per-type traffic, and phase histograms.
 	Metrics = am.Metrics
-	// ProcessTelemetry is one process's telemetry export — what a
-	// declpat-worker ships back to the coordinator over a telemetry frame.
+	// ProcessTelemetry is one process's telemetry export
+	// (Universe.Telemetry) — what each fleet worker ships to its launcher
+	// over the control plane, served per worker by declpat-launch -metrics.
 	ProcessTelemetry = obs.ProcessTelemetry
 	// HistSnapshot is a plain histogram view (bounds, counts, sum, max).
 	HistSnapshot = obs.HistSnapshot
@@ -605,14 +604,6 @@ func NewSampler(size int, src func() map[string]int64) *Sampler { return obs.New
 //	defer d.Close()
 //	d.HandleMetrics(u.WriteOpenMetrics)
 func NewDebugServer(addr string) (*DebugServer, error) { return harness.NewDebugServer(addr) }
-
-// MergeTelemetry folds src's counters, gauges, and phase histograms into
-// dst (how the coordinator builds Metrics.Merged from the per-process
-// entries). Histogram bound mismatches skip that phase and surface as the
-// returned error; the rest of the merge still happens.
-func MergeTelemetry(dst *ProcessTelemetry, src *ProcessTelemetry) error {
-	return obs.MergeTelemetry(dst, src)
-}
 
 // Multi-process SPMD: run algorithms across real OS worker processes, with
 // barriers, gathers, termination waves, and checkpoint-commit votes carried

@@ -58,9 +58,12 @@ type FaultPlan struct {
 	// default it on (via their synthesized plan) to desynchronize the
 	// retransmit burst that follows a reconnect.
 	BackoffJitter float64
-	// MaxAttempts bounds transmissions per envelope; exceeding it raises a
-	// structured LinkDead rank fault (at Drop = 0.2 the default ceiling of
-	// 30 is reached with probability 0.2^30 ≈ 1e-21 per envelope). With
+	// MaxAttempts bounds transmissions per envelope; exceeding it, once the
+	// envelope has also gone unacknowledged for a second of wall time,
+	// raises a structured LinkDead rank fault (at Drop = 0.2 the default
+	// ceiling of 30 is reached with probability 0.2^30 ≈ 1e-21 per
+	// envelope; the wall-time floor keeps a descheduled receiver from
+	// looking dead to a sender spinning through its ticks). With
 	// Config.Recovery the damaged epoch rolls back to its checkpoint and
 	// replays; without it Universe.Run returns the fault as an error.
 	// 0 selects the default (30).

@@ -210,7 +210,7 @@ func TestShutdownStress(t *testing.T) {
 			Detector: DetectorFourCounter, FaultPlan: plan})
 		var got atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m int64) { got.Add(1) })
-		u.Run(func(r *Rank) {
+		err := u.Run(func(r *Rank) {
 			// Several tiny epochs so teardown happens right after
 			// termination-detection and retransmit activity.
 			for e := 0; e < 4; e++ {
@@ -221,6 +221,9 @@ func TestShutdownStress(t *testing.T) {
 				})
 			}
 		})
+		if err != nil {
+			t.Fatalf("iteration %d: Run: %v", i, err)
+		}
 		want := int64(4 * 4 * 4)
 		if got.Load() != want {
 			t.Fatalf("iteration %d: handled %d, want %d", i, got.Load(), want)

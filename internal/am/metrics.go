@@ -3,6 +3,7 @@ package am
 import (
 	"io"
 	"os"
+	"strconv"
 
 	"declpat/internal/obs"
 )
@@ -66,20 +67,6 @@ type Metrics struct {
 	// Config.Timing is set. RankPhases is the same per rank.
 	Phases     map[string]obs.HistSnapshot
 	RankPhases []map[string]obs.HistSnapshot
-	// Processes is the per-process telemetry breakdown: this process
-	// ("coordinator") first, then every external process the transport can
-	// reach (the declpat-worker relay, queried over its own listener).
-	// Merged folds them into one export — worker counters and phase
-	// histograms combined with the coordinator's.
-	Processes []obs.ProcessTelemetry
-	Merged    obs.ProcessTelemetry
-}
-
-// telemetrySource is the optional Transport extension behind the
-// per-process breakdown: a backend with external processes on its data path
-// returns their telemetry exports.
-type telemetrySource interface {
-	processTelemetry() []obs.ProcessTelemetry
 }
 
 // DepartureStats is the fleet-departure block of Metrics.
@@ -139,17 +126,6 @@ func (u *Universe) Metrics() Metrics {
 	}
 	m.Phases = u.phases.Snapshot()
 	m.RankPhases = u.RankPhases()
-	m.Processes = []obs.ProcessTelemetry{u.Telemetry()}
-	if ts, ok := u.net.(telemetrySource); ok {
-		m.Processes = append(m.Processes, ts.processTelemetry()...)
-	}
-	for i := range m.Processes {
-		// Bound mismatches cannot happen between same-build processes and
-		// degrade to a partial merge otherwise; the per-process entries
-		// always carry the unmerged truth.
-		obs.MergeTelemetry(&m.Merged, &m.Processes[i])
-	}
-	m.Merged.Process = "merged"
 	if u.typeC == nil {
 		return m // before Run: no type-dimensioned state yet
 	}
@@ -167,8 +143,8 @@ func (u *Universe) Metrics() Metrics {
 	return m
 }
 
-// Telemetry returns this process's telemetry export — the same unit a
-// declpat-worker ships over a telemetry frame, built locally: the substrate
+// Telemetry returns this process's telemetry export — the unit a fleet
+// worker ships to its launcher over the control plane: the substrate
 // counters, the outstanding-retransmit gauge, and the per-phase histograms
 // (empty unless Config.Timing is set).
 func (u *Universe) Telemetry() obs.ProcessTelemetry {
@@ -225,74 +201,17 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	om.Family("declpat_ranks", "gauge", "Number of ranks in the universe.")
 	om.SampleInt("declpat_ranks", nil, int64(u.cfg.Ranks))
 
-	// Counter families: the union of every process's counter names, one
-	// family per name, one sample per process that reports it.
-	names := map[string]bool{}
-	for _, p := range m.Processes {
-		for k := range p.Counters {
-			names[k] = true
-		}
-	}
 	// The departure counters get dedicated always-emitted families below;
-	// emitting them here too (they appear once non-zero) would duplicate the
-	// family.
-	delete(names, "clean_departures")
-	delete(names, "crash_departures")
-	for _, name := range obs.SortedKeys(names) {
-		fam := "declpat_" + obs.MetricName(name) + "_total"
-		om.Family(fam, "counter", "Substrate counter "+name+".")
-		for _, p := range m.Processes {
-			if v, ok := p.Counters[name]; ok {
-				om.SampleInt(fam, []string{"process", p.Process}, v)
-			}
-		}
-	}
-
-	// Gauge families: current value and peak as separate series.
-	gnames := map[string]bool{}
-	for _, p := range m.Processes {
-		for k := range p.Gauges {
-			gnames[k] = true
-		}
-	}
-	for _, name := range obs.SortedKeys(gnames) {
-		fam := "declpat_" + obs.MetricName(name)
-		om.Family(fam, "gauge", "Substrate gauge "+name+" (current value).")
-		for _, p := range m.Processes {
-			if v, ok := p.Gauges[name]; ok {
-				om.SampleInt(fam, []string{"process", p.Process}, v.Cur)
-			}
-		}
-		om.Family(fam+"_peak", "gauge", "Substrate gauge "+name+" (high-water mark).")
-		for _, p := range m.Processes {
-			if v, ok := p.Gauges[name]; ok {
-				om.SampleInt(fam+"_peak", []string{"process", p.Process}, v.Max)
-			}
-		}
-	}
-
-	// Phase histograms: one family, labelled by process and phase,
-	// nanosecond observations exported in seconds.
-	hasPhases := false
-	for _, p := range m.Processes {
-		if len(p.Phases) > 0 {
-			hasPhases = true
-			break
-		}
-	}
-	if hasPhases {
-		const fam = "declpat_phase_duration_seconds"
-		om.Family(fam, "histogram", "Epoch phase durations by process and phase (collect/build_csr/kernel/emit/barrier/recovery).")
-		for _, p := range m.Processes {
-			for _, phase := range obs.SortedKeys(p.Phases) {
-				om.Hist(fam, []string{"process", p.Process, "phase", phase}, p.Phases[phase], 1e-9)
-			}
-		}
-	}
+	// emitting them with the per-process families too (they appear once
+	// non-zero) would duplicate the family.
+	t := u.Telemetry()
+	delete(t.Counters, "clean_departures")
+	delete(t.Counters, "crash_departures")
+	obs.WriteProcessTelemetry(om, []obs.ProcessTelemetry{t})
 
 	// Departure counters are emitted unconditionally: their zero values are
-	// the signal ("no one has died") and the counter-union loop above only
-	// sees non-zero counters.
+	// the signal ("no one has died") and the per-process families above only
+	// carry non-zero counters.
 	om.Family("declpat_clean_departures_total", "counter", "Fleet peers that departed gracefully (goodbye acknowledged).")
 	om.SampleInt("declpat_clean_departures_total", nil, m.Departures.Clean)
 	om.Family("declpat_crash_departures_total", "counter", "Fleet peers that died without a goodbye (heartbeat expiry or connection loss).")
@@ -300,24 +219,7 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 
 	om.Family("declpat_inbox_depth", "gauge", "Per-rank inbox queue depth.")
 	for i, g := range m.InboxDepth {
-		om.SampleInt("declpat_inbox_depth", []string{"rank", labelItoa(i)}, g.Value)
+		om.SampleInt("declpat_inbox_depth", []string{"rank", strconv.Itoa(i)}, g.Value)
 	}
 	return om.Close()
-}
-
-// labelItoa is a tiny strconv.Itoa for label values (avoids importing strconv in
-// every exporter call site).
-func labelItoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	n := i
-	for n > 0 {
-		p--
-		b[p] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[p:])
 }

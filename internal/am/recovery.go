@@ -307,11 +307,14 @@ func (r *Rank) armCrashes() {
 }
 
 // crashDue fires an armed mid-epoch crash once the rank has handled its
-// k-th message of the epoch. Called from deliverEnvelope before handling;
-// reports whether the rank just died (the triggering envelope dies with it).
-func (r *Rank) crashDue() bool {
+// k-th message of the epoch. Called from deliverEnvelope with the size of
+// the fresh batch about to be handled; reports whether the rank just died
+// (the batch dies with it). Claiming the batch and testing the count are
+// one atomic step, so handler threads delivering concurrently cannot all
+// slip past the trigger: the first batch claimed after k messages fires it.
+func (r *Rank) crashDue(n int64) bool {
 	ca := r.crashAfter.Load()
-	if ca < 0 || r.handledInEpoch.Load() < ca {
+	if ca < 0 || r.handledInEpoch.Add(n)-n < ca {
 		return false
 	}
 	if !r.crashAfter.CompareAndSwap(ca, -1) {

@@ -64,11 +64,10 @@ func TestHandlerPanicRecovered(t *testing.T) {
 			})
 			var armed atomic.Bool
 			armed.Store(true)
-			seen := 0
+			var seen atomic.Int64 // rank 1's two handler threads share it
 			err, got := ringSum(u, 200, func(r *Rank, m int64) {
 				if r.ID() == 1 {
-					seen++
-					if seen > 50 && armed.CompareAndSwap(true, false) {
+					if seen.Add(1) > 50 && armed.CompareAndSwap(true, false) {
 						panic("injected handler bug")
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"declpat/internal/obs"
 )
@@ -50,6 +51,11 @@ type outEnvelope struct {
 	attempts int      // transmissions performed so far
 	due      uint64
 	sentNs   int64 // first-transmission timestamp (Config.Timing ack RTT)
+	// budgetNs is when the current attempt budget started: the first
+	// transmission, or the last reconnect (requeueOutstanding). The link is
+	// declared dead only once both the attempt ceiling and linkDeadAfterNs
+	// of wall time since budgetNs are spent.
+	budgetNs int64
 	// refs guards the batch against recycling while still reachable: the
 	// outstanding table holds one reference and every in-flight
 	// retransmission takes one more for the duration of its re-encode.
@@ -137,6 +143,7 @@ func (r *Rank) requeueOutstanding(dest int) int {
 			if o.due != ^uint64(0) {
 				o.due = 0
 				o.attempts = 0
+				o.budgetNs = obs.Now()
 				n++
 			}
 		}
@@ -157,6 +164,7 @@ func (r *Rank) nextSeq(dest int, typ int32, data any, lin []uint64) uint64 {
 	if r.u.ackRTT != nil {
 		o.sentNs = obs.Now()
 	}
+	o.budgetNs = obs.Now()
 	l.mu.Lock()
 	l.nextSeq++
 	seq := l.nextSeq
@@ -257,6 +265,13 @@ func (r *Rank) handleAck(e envelope) {
 	}
 }
 
+// linkDeadAfterNs is the least wall time an envelope must go unacknowledged
+// before its link may be declared dead. Retransmit timeouts count ticks of
+// the sender's own progress loop, so a spinning sender can use up
+// MaxAttempts in microseconds while the receiver is merely descheduled;
+// the floor makes link death mean a silent peer, not a busy scheduler.
+const linkDeadAfterNs = int64(time.Second)
+
 // backoffShiftCap bounds the exponential retransmit backoff at
 // RetransmitBase << 6 ticks.
 const backoffShiftCap = 6
@@ -296,12 +311,12 @@ func (r *Rank) pollLinks() bool {
 	if u.epochState.Load() == epochAborting {
 		return false // the epoch is rolling back; recovery resets the links
 	}
+	nowNs := obs.Now()
 	if ivl := u.tickIntNs; ivl > 0 {
 		// Real-latency backends pace the tick: a spinning progress loop
 		// polls millions of times a second, which would turn the
 		// tick-denominated retransmit timeouts into microseconds and
 		// retransmit every frame long before a socket round trip completes.
-		nowNs := obs.Now()
 		last := r.lastTickNs.Load()
 		if nowNs-last < ivl || !r.lastTickNs.CompareAndSwap(last, nowNs) {
 			return false
@@ -349,7 +364,7 @@ func (r *Rank) pollLinks() bool {
 			for _, seq := range due {
 				o := l.out[seq]
 				o.attempts++
-				if o.attempts > u.fp.MaxAttempts {
+				if o.attempts > u.fp.MaxAttempts && nowNs-o.budgetNs >= linkDeadAfterNs {
 					// Retransmit ceiling: declare the link dead. The
 					// envelope is parked (never due again) and the
 					// structured fault aborts the epoch — recovery heals

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"declpat/internal/obs"
-	"declpat/internal/relay"
 )
 
 // Socket transport backend: envelopes cross real TCP or Unix-domain sockets
@@ -36,12 +35,12 @@ import (
 // FaultTransport rank fault aborts the epoch, and recovery (healEpoch)
 // grants the link a fresh budget before the replay.
 //
-// Scope: all ranks still live in one OS process — the control plane
-// (barriers, detectors, collectives) stays shared-memory, which is what
-// makes the chaos matrix's bit-identity comparison meaningful. The data
-// plane genuinely leaves the process: with SockOptions.Relay every frame is
-// tunneled through an external declpat-worker process (cmd/declpat-worker),
-// so kill -9 on the worker is a real connection failure.
+// Scope: in a single-process universe the control plane (barriers,
+// detectors, collectives) stays shared-memory, which is what makes the chaos
+// matrix's bit-identity comparison meaningful, while every data frame
+// crosses a real kernel socket. Under a multi-process control plane
+// (WithControlPlane, internal/mp) each rank-host process binds listeners for
+// its own ranks only, so the data plane genuinely crosses OS processes.
 
 // Handshake constants. The dialer opens every connection with
 // magic, version, src rank, dest rank, and the universe's instance id; the
@@ -81,10 +80,6 @@ type SockOptions struct {
 	// Dir is the directory for Unix socket files; "" creates (and owns) a
 	// temporary directory removed at close. Ignored for TCP.
 	Dir string
-	// Relay, when set ("tcp://host:port" or "unix:///path"), routes every
-	// dialed connection through a frame-relay process (cmd/declpat-worker)
-	// at that address, putting a second OS process on the data path.
-	Relay string
 	// Heartbeat is the idle interval after which a link's writer emits a
 	// heartbeat frame, keeping the peer's liveness deadline fed on quiet
 	// links. 0 selects the default (50ms).
@@ -206,11 +201,9 @@ type sockTransport struct {
 	u   *Universe
 	id  uint64 // handshake instance id
 
-	network  string
-	dir      string // unix socket dir
-	ownDir   bool
-	relayNet string // parsed SockOptions.Relay ("" = direct dial)
-	relayAdr string
+	network string
+	dir     string // unix socket dir
+	ownDir  bool
 
 	addrs []string       // per-rank listen address
 	lns   []net.Listener // per-rank listener
@@ -272,26 +265,6 @@ func (t *sockTransport) Name() string {
 func (t *sockTransport) reliable() bool              { return true }
 func (t *sockTransport) tickInterval() time.Duration { return t.opt.TickInterval }
 
-// processTelemetry implements the optional telemetry-source extension of
-// Transport (see Universe.Metrics): when a relay (declpat-worker) sits on
-// the data path, query its telemetry over the same listener the tunnels
-// use. Best-effort — an unreachable or pre-telemetry relay contributes no
-// entry rather than an error, so Metrics() never fails because a worker
-// died mid-scrape.
-func (t *sockTransport) processTelemetry() []obs.ProcessTelemetry {
-	if t.relayAdr == "" {
-		return nil
-	}
-	pt, err := relay.QueryTelemetry(t.relayNet, t.relayAdr, t.opt.DialTimeout)
-	if err != nil {
-		return nil
-	}
-	if pt.Addr == "" {
-		pt.Addr = t.opt.Relay
-	}
-	return []obs.ProcessTelemetry{pt}
-}
-
 func (t *sockTransport) start(u *Universe) error {
 	if t.u != nil {
 		return errTransportReused
@@ -306,13 +279,6 @@ func (t *sockTransport) start(u *Universe) error {
 		if !mt.wire {
 			return fmt.Errorf("message type %q has no wire codec; every type on a socket transport needs one (WithWire or WithCodec)", mt.name)
 		}
-	}
-	if t.opt.Relay != "" {
-		rn, ra, err := relay.SplitAddr(t.opt.Relay)
-		if err != nil {
-			return err
-		}
-		t.relayNet, t.relayAdr = rn, ra
 	}
 	t.u = u
 	n := u.cfg.Ranks
@@ -389,9 +355,9 @@ func (t *sockTransport) start(u *Universe) error {
 				l.flapFired = make([]int, len(fp.Flaps))
 			}
 			t.links[src][dest] = l
-			// Eager synchronous dial: a misconfiguration (unreachable relay,
-			// bad address) fails the run before it starts instead of
-			// surfacing as a reconnect storm mid-epoch.
+			// Eager synchronous dial: a misconfiguration (bad address)
+			// fails the run before it starts instead of surfacing as a
+			// reconnect storm mid-epoch.
 			conn, err := t.dialLink(src, dest)
 			if err != nil {
 				return cleanup(fmt.Errorf("dial link %d->%d: %w", src, dest, err))
@@ -405,16 +371,9 @@ func (t *sockTransport) start(u *Universe) error {
 	return nil
 }
 
-// dialLink establishes and handshakes one (src → dest) connection,
-// optionally through the relay.
+// dialLink establishes and handshakes one (src → dest) connection.
 func (t *sockTransport) dialLink(src, dest int) (net.Conn, error) {
-	var conn net.Conn
-	var err error
-	if t.relayNet != "" {
-		conn, err = relay.Dial(t.relayNet, t.relayAdr, t.network, t.addrs[dest], t.opt.DialTimeout)
-	} else {
-		conn, err = net.DialTimeout(t.network, t.addrs[dest], t.opt.DialTimeout)
-	}
+	conn, err := net.DialTimeout(t.network, t.addrs[dest], t.opt.DialTimeout)
 	if err != nil {
 		return nil, err
 	}

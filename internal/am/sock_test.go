@@ -3,12 +3,12 @@ package am
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"declpat/internal/relay"
 )
 
 // requireLoopback skips socket tests in environments that forbid binding
@@ -228,116 +228,65 @@ func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	}
 }
 
-// killableRelay is an in-process stand-in for a declpat-worker process: it
-// serves the relay protocol on a TCP listener and can be killed (listener
-// and every spliced connection closed at once) and later restarted on the
-// same address.
-type killableRelay struct {
-	addr string
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-}
-
-func startKillableRelay(t *testing.T, addr string) *killableRelay {
-	t.Helper()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("relay listen: %v", err)
-	}
-	kr := &killableRelay{addr: ln.Addr().String(), ln: ln, conns: make(map[net.Conn]struct{})}
-	go relay.Serve(trackListener{ln, kr})
-	return kr
-}
-
-// kill severs the relay: no new tunnels, and every live tunnel's client side
-// is closed (the relay's splice then closes the target side), so the
-// transport sees the same outage a killed worker process causes.
-func (kr *killableRelay) kill() {
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	kr.ln.Close()
-	for c := range kr.conns {
-		c.Close()
-	}
-	kr.conns = make(map[net.Conn]struct{})
-}
-
-// restart brings a fresh relay up on the same address (SO_REUSEADDR makes
-// the rebind race-free on loopback). Safe to call from any goroutine: test
-// failures are reported with Errorf, never FailNow.
-func (kr *killableRelay) restart(t *testing.T) {
-	ln, err := net.Listen("tcp", kr.addr)
-	if err != nil {
-		t.Errorf("relay restart on %s: %v", kr.addr, err)
-		return
-	}
-	kr.mu.Lock()
-	kr.ln = ln
-	kr.conns = make(map[net.Conn]struct{})
-	kr.mu.Unlock()
-	go relay.Serve(trackListener{ln, kr})
-}
-
-// trackListener records accepted connections on the relay for kill().
-type trackListener struct {
-	net.Listener
-	kr *killableRelay
-}
-
-func (tl trackListener) Accept() (net.Conn, error) {
-	c, err := tl.Listener.Accept()
-	if err == nil {
-		tl.kr.mu.Lock()
-		tl.kr.conns[c] = struct{}{}
-		tl.kr.mu.Unlock()
-	}
-	return c, err
-}
-
-// TestSockRelayKillEscalatesAndRecovers is the reconnect-budget acceptance
-// test: every inter-rank connection runs through a relay (the in-process
-// twin of cmd/declpat-worker), which is killed mid-epoch. Rank 0 then sends
-// a burst that can only cross the dead relay, so reconnect attempts fail
-// until the budget is exhausted, which must escalate to a FaultTransport
-// rank fault and checkpoint/restart — not a hung epoch. A fresh relay then
-// comes up on the same address and a replay attempt reconnects through it
-// and completes exactly once.
-func TestSockRelayKillEscalatesAndRecovers(t *testing.T) {
+// TestSockReconnectBudgetEscalatesAndRecovers is the reconnect-budget
+// acceptance test on Unix-domain sockets. Rank 1's socket file is renamed
+// away (its listener stays up, but every new dial fails with ENOENT) and
+// the live 0->1 connection is killed by the fault plan, so reconnect
+// attempts fail until the budget is exhausted. That must escalate to a
+// FaultTransport rank fault and checkpoint/restart, not a hung epoch. Once
+// the epoch has aborted, the file is renamed back and the replay's redial
+// (healEpoch) reconnects and completes exactly once.
+func TestSockReconnectBudgetEscalatesAndRecovers(t *testing.T) {
 	requireLoopback(t)
-	kr := startKillableRelay(t, "")
-	defer kr.kill()
-
-	opt := fastSockOptions("tcp")
-	opt.Relay = "tcp://" + kr.addr
+	opt := fastSockOptions("unix")
+	opt.Dir = t.TempDir()
 	opt.ReconnectBudget = 3
+	opt.Faults = &SockFaultPlan{Disconnects: []SockDisconnect{{Src: 0, Dest: 1, AfterFrames: 1}}}
+	sock := filepath.Join(opt.Dir, "rank-1.sock")
 	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
 		Recovery: true, MaxRecoveries: 1000,
 		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25},
 		Transport: SockTransport(opt)}
 
-	// Event-driven failure injection: rank 0 signals once its epoch is live
-	// (so the kill always lands after the eager dials), the relay dies, and
-	// only then does rank 0 send its second burst — those frames are
-	// guaranteed to face a dead relay no matter how the scheduler raced the
-	// first batch's delivery.
-	const per, burst = 64, 16
+	// Event-driven failure injection: every rank parks at the top of its
+	// epoch until rank 1's socket file is gone, so the disconnect (which
+	// fires on the first data or ack frame on 0->1, heartbeats excluded)
+	// always lands after the eager dials and always faces a missing file.
+	// The file comes back only after the exhausted budget aborted an epoch.
+	const per = 64
 	var startedOnce sync.Once
 	started := make(chan struct{})
 	gate := make(chan struct{})
+	done := make(chan struct{})     // Run returned
+	restored := make(chan struct{}) // the injector goroutine exited
+	var u *Universe
 	go func() {
-		<-started
-		kr.kill()
+		defer close(restored)
+		select {
+		case <-started:
+		case <-done:
+			return
+		}
+		if err := os.Rename(sock, sock+".away"); err != nil {
+			t.Errorf("renaming %s away: %v", sock, err)
+		}
 		close(gate)
-		time.Sleep(60 * time.Millisecond * raceTimingScale)
-		kr.restart(t)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+	wait:
+		for u.Stats.EpochAborts() == 0 {
+			select {
+			case <-done:
+				break wait
+			case <-tick.C:
+			}
+		}
+		if err := os.Rename(sock+".away", sock); err != nil {
+			t.Errorf("renaming %s back: %v", sock, err)
+		}
 	}()
 
-	u := NewUniverse(cfg)
+	u = NewUniverse(cfg)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {
@@ -345,18 +294,15 @@ func TestSockRelayKillEscalatesAndRecovers(t *testing.T) {
 	}).WithWire()
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
+			startedOnce.Do(func() { close(started) })
+			<-gate
 			for i := 1; i <= per; i++ {
 				mt.SendTo(r, (r.ID()+1)%r.N(), chatterPayload{ID: int64(i)})
 			}
-			if r.ID() == 0 {
-				startedOnce.Do(func() { close(started) })
-				<-gate
-				for i := per + 1; i <= per+burst; i++ {
-					mt.SendTo(r, 1, chatterPayload{ID: int64(i)})
-				}
-			}
 		})
 	})
+	close(done)
+	<-restored
 	if err != nil {
 		for i, f := range u.FaultLog() {
 			t.Logf("fault[%d]: kind=%s rank=%d epoch=%d detail=%s", i, f.Kind, f.Rank, f.Epoch, f.Detail)
@@ -364,16 +310,15 @@ func TestSockRelayKillEscalatesAndRecovers(t *testing.T) {
 		t.Logf("counters: %+v", u.Stats.Snapshot())
 		t.Fatalf("Run: %v", err)
 	}
-	want := ringWant(2, per) + int64(burst)*int64(2*per+burst+1)/2
-	if got := ck.sum(); got != want {
-		t.Fatalf("ring sum = %d after relay kill + recovery, want %d", got, want)
+	if got, want := ck.sum(), ringWant(2, per); got != want {
+		t.Fatalf("ring sum = %d after reconnect-budget escalation + recovery, want %d", got, want)
 	}
 	s := u.Stats.Snapshot()
 	if s.Recoveries < 1 || s.EpochAborts < 1 {
-		t.Fatalf("a dead relay must cost an epoch attempt, got %+v", s)
+		t.Fatalf("an exhausted reconnect budget must cost an epoch attempt, got %+v", s)
 	}
 	if s.Reconnects < 1 {
-		t.Fatalf("the replay must have reconnected through the fresh relay, got %+v", s)
+		t.Fatalf("the replay must have reconnected once the socket file was back, got %+v", s)
 	}
 	var sawTransportFault bool
 	for _, f := range u.FaultLog() {

@@ -1,12 +1,9 @@
 package am
 
 import (
-	"net"
-	"strings"
 	"testing"
 
 	"declpat/internal/obs"
-	"declpat/internal/relay"
 )
 
 // TestPhaseTimersRecorded proves the tentpole's first layer: with
@@ -70,91 +67,6 @@ func TestPhaseTimersRecorded(t *testing.T) {
 	}
 	if u2.Phases() != nil {
 		t.Fatalf("Phases() with timing off = %v, want nil", u2.Phases())
-	}
-}
-
-// TestRelayTelemetryMerged is the cross-process aggregation acceptance test:
-// a relay server (the in-process twin of cmd/declpat-worker) sits on the
-// data path, the workload crosses it, and afterwards Universe.Metrics()
-// must carry the relay's counters and phase histograms as a second process
-// — merged into the combined export and visible on the /metrics payload.
-func TestRelayTelemetryMerged(t *testing.T) {
-	requireLoopback(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("relay listen: %v", err)
-	}
-	defer ln.Close()
-	go relay.NewServer("relay").Serve(ln)
-
-	opt := fastSockOptions("tcp")
-	opt.Relay = "tcp://" + ln.Addr().String()
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Timing: true,
-		Transport: SockTransport(opt)}
-	counts, u := runSockChatter(t, cfg, 16)
-	checkExactlyOnce(t, counts, 0)
-
-	m := u.Metrics()
-	if len(m.Processes) != 2 {
-		t.Fatalf("Processes = %d entries, want coordinator + relay: %+v", len(m.Processes), m.Processes)
-	}
-	if m.Processes[0].Process != "coordinator" {
-		t.Fatalf("Processes[0] = %q, want coordinator first", m.Processes[0].Process)
-	}
-	rl := m.Processes[1]
-	if rl.Process != "relay" || rl.PID == 0 {
-		t.Fatalf("relay telemetry identity: %+v", rl)
-	}
-	if rl.Addr != opt.Relay {
-		t.Fatalf("relay Addr = %q, want %q", rl.Addr, opt.Relay)
-	}
-	// Every inter-rank connection tunnels through the relay, and its dial
-	// latency lands in the relay's collect phase synchronously.
-	if rl.Counters["relay_conns"] < 1 {
-		t.Fatalf("relay_conns = %d, want >= 1", rl.Counters["relay_conns"])
-	}
-	if rl.Counters["relay_bytes_to_target"] == 0 {
-		t.Fatal("no bytes spliced toward targets — did the workload bypass the relay?")
-	}
-	if rl.Phases["collect"].Count < 1 {
-		t.Fatalf("relay collect phase empty: %+v", rl.Phases)
-	}
-
-	// The merged export folds both processes together.
-	if m.Merged.Process != "merged" {
-		t.Fatalf("Merged.Process = %q", m.Merged.Process)
-	}
-	if m.Merged.Counters["relay_conns"] != rl.Counters["relay_conns"] {
-		t.Fatalf("merged relay_conns = %d, want %d", m.Merged.Counters["relay_conns"], rl.Counters["relay_conns"])
-	}
-	if m.Merged.Counters["msgs_sent"] == 0 {
-		t.Fatal("merged export lost the coordinator's counters")
-	}
-	coordKernel := m.Processes[0].Phases["kernel"].Count
-	if coordKernel == 0 {
-		t.Fatal("coordinator kernel phase empty despite Timing")
-	}
-	if got := m.Merged.Phases["collect"].Count; got < rl.Phases["collect"].Count {
-		t.Fatalf("merged collect spans = %d, want >= relay's %d", got, rl.Phases["collect"].Count)
-	}
-
-	// And the same breakdown is what /metrics serves.
-	var b strings.Builder
-	if err := u.WriteOpenMetrics(&b); err != nil {
-		t.Fatalf("WriteOpenMetrics: %v", err)
-	}
-	om := b.String()
-	for _, want := range []string{
-		`declpat_universe_info{transport="sock-tcp"} 1`,
-		`declpat_msgs_sent_total{process="coordinator"}`,
-		`declpat_relay_conns_total{process="relay"}`,
-		`declpat_phase_duration_seconds_bucket{process="coordinator",phase="kernel"`,
-		`declpat_phase_duration_seconds_bucket{process="relay",phase="collect"`,
-		"# EOF",
-	} {
-		if !strings.Contains(om, want) {
-			t.Fatalf("scrape missing %q in:\n%s", want, om)
-		}
 	}
 }
 

@@ -478,7 +478,8 @@ type rankState struct {
 	// current epoch attempt; crashAfter (>= 0 when armed) is the
 	// handled-message count that triggers a mid-epoch injected crash, with
 	// crashIdx the FaultPlan.Crashes entry it consumes; handledInEpoch
-	// counts messages handled within the current epoch attempt.
+	// counts the messages of the fresh batches claimed for handling within
+	// the current epoch attempt while a crash is armed.
 	crashed        atomic.Bool
 	crashAfter     atomic.Int64
 	crashIdx       int
@@ -784,13 +785,6 @@ func (r *Rank) deliverEnvelope(e envelope) {
 		}
 		return
 	}
-	if u.hasCrashes && r.crashDue() {
-		// The rank died before handling this envelope; it dies unacknowledged.
-		if wp, ok := e.data.(wirePayload); ok {
-			wp.release()
-		}
-		return
-	}
 	mt := u.types[e.typeID]
 	data := e.data
 	fromWire := false
@@ -841,11 +835,16 @@ func (r *Rank) deliverEnvelope(e envelope) {
 	if timed {
 		start = obs.Now()
 	}
+	if u.hasCrashes && r.crashDue(int64(mt.batchLen(data))) {
+		// The rank died before handling this batch. Its messages never
+		// reach a handler, so neither detector can commit the epoch.
+		if fromWire {
+			mt.recycle(data)
+		}
+		return
+	}
 	if !r.deliverBatch(mt, data, e.lin) {
 		return // handler panicked; contained as a rank fault
-	}
-	if u.hasCrashes {
-		r.handledInEpoch.Add(int64(mt.batchLen(data)))
 	}
 	if timed {
 		end := obs.Now()

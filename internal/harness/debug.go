@@ -159,11 +159,3 @@ func StopDebug() {
 	defer cancel()
 	d.Shutdown(ctx)
 }
-
-// Publish exposes fn's result as JSON at /debug/vars under name, via expvar.
-// Use it to publish live substrate metrics (e.g. a Universe.Metrics closure)
-// while a long run is in flight. Each name can be published once per process;
-// a second Publish with the same name panics (expvar semantics).
-func Publish(name string, fn func() any) {
-	expvar.Publish(name, expvar.Func(fn))
-}

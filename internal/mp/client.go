@@ -158,6 +158,15 @@ func (c *Client) SendTrace(m traceMsg) error {
 	return c.write(fTrace, m.encode())
 }
 
+// SendTelemetry ships one substrate telemetry snapshot to the coordinator.
+func (c *Client) SendTelemetry(t obs.ProcessTelemetry) error {
+	body, err := encodeTelemetry(t)
+	if err != nil {
+		return err
+	}
+	return c.write(fTelemetry, body)
+}
+
 // Welcome returns the coordinator's fleet configuration for this worker.
 func (c *Client) Welcome() welcome { return c.w }
 

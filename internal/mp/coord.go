@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"time"
 
 	"declpat/internal/am"
@@ -52,9 +53,10 @@ type coordinator struct {
 	// Fleet timeline state: trace records streamed from workers, already
 	// aligned onto this process's timebase (TS += the batch's offset, W
 	// stamped), plus each worker's last clock estimate for the merged meta.
-	traceRecs []obs.Record
-	clockErr  []int64 // per worker; -1 = no estimate reported yet
-	straggler *stragglerTracker
+	traceRecs  []obs.Record
+	clockErr   []int64 // per worker; -1 = no estimate reported yet
+	straggler  *stragglerTracker
+	stragglers []StragglerStat // summaries emitted this attempt
 }
 
 // coordSpec configures one attempt.
@@ -76,10 +78,10 @@ type coordSpec struct {
 	// OnKill delivers entry/term kill triggers to the launcher (which owns
 	// the worker processes). Must not block.
 	OnKill func(worker int, mode string)
-	// OnStraggler delivers per-epoch imbalance summaries as the streamed
-	// phase data completes each epoch. Called from the event loop — must not
-	// block. Nil disables.
-	OnStraggler func(StragglerStat)
+	// Monitor, when non-nil, receives per-epoch imbalance summaries as the
+	// streamed phase data completes each epoch, and every worker's
+	// telemetry snapshots.
+	Monitor *FleetMonitor
 	// RoundTimeout bounds every control round (and the join/addr phases): a
 	// round that cannot complete — a worker wedged, a one-way partition
 	// swallowing its frames — aborts the attempt instead of hanging the
@@ -130,9 +132,10 @@ type attemptOutcome struct {
 	results   map[int][]int64
 	// trace is the attempt's merged, offset-corrected record stream (empty
 	// when the job streams no traces); clockErr the largest error bound any
-	// worker reported.
-	trace    []obs.Record
-	clockErr int64
+	// worker reported; stragglers the per-epoch imbalance summaries emitted.
+	trace      []obs.Record
+	clockErr   int64
+	stragglers []StragglerStat
 }
 
 func newCoordinator(spec coordSpec) (*coordinator, error) {
@@ -329,6 +332,8 @@ func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
 			return c.abortFleet(false, err), true
 		}
 		c.foldTrace(tm)
+	case fTelemetry:
+		c.foldTelemetry(ev)
 	case fResult:
 		r, err := decodeResult(ev.body)
 		if err != nil {
@@ -343,7 +348,7 @@ func (c *coordinator) handle(ev coordEvent) (out attemptOutcome, done bool) {
 		if c.resultsIn == c.spec.Workers {
 			return attemptOutcome{
 				ok: true, committed: c.committed, log: c.log[:c.commitLen], results: c.results,
-				trace: c.traceRecs, clockErr: c.maxClockErr(),
+				trace: c.traceRecs, clockErr: c.maxClockErr(), stragglers: c.stragglers,
 			}, true
 		}
 	default:
@@ -595,14 +600,30 @@ func (c *coordinator) foldTrace(tm traceMsg) {
 		return
 	}
 	c.clockErr[tm.Worker] = tm.ErrBound
-	if c.spec.OnStraggler != nil {
-		for _, st := range c.straggler.fold(recs) {
-			c.spec.OnStraggler(st)
+	for _, st := range c.straggler.fold(recs) {
+		c.stragglers = append(c.stragglers, st)
+		if c.spec.Monitor != nil {
+			c.spec.Monitor.straggler(st)
 		}
-	} else {
-		c.straggler.fold(recs)
 	}
 	c.traceRecs = append(c.traceRecs, obs.AlignRecords(recs, tm.Worker, tm.Offset)...)
+}
+
+// foldTelemetry hands one worker's substrate telemetry snapshot to the
+// monitor, labelled by the connection's worker index — never by a name taken
+// from the frame body. Like a trace batch, an undecodable snapshot is logged
+// and dropped rather than taking the fleet down.
+func (c *coordinator) foldTelemetry(ev coordEvent) {
+	if c.spec.Monitor == nil {
+		return
+	}
+	t, err := decodeTelemetry(ev.body)
+	if err != nil {
+		c.spec.Logf("mp: telemetry from worker %d undecodable: %v", ev.worker, err)
+		return
+	}
+	t.Process = "worker-" + strconv.Itoa(ev.worker)
+	c.spec.Monitor.telemetry(ev.worker, t)
 }
 
 // maxClockErr returns the largest error bound any worker reported (0 when no
@@ -650,22 +671,29 @@ func (c *coordinator) workerDown(ev coordEvent) (attemptOutcome, bool) {
 // prefix, and returns the attempt's outcome.
 func (c *coordinator) abortFleet(clean bool, err error) attemptOutcome {
 	c.broadcast(fAbort, abortMsg{Clean: clean, Reason: err.Error()}.encode())
-	// Drain trace batches already queued behind this event before the reply
-	// channels close: aborted attempts are exactly the ones whose timeline
-	// matters most. Bounded — only what is in the channel right now.
+	// Drain trace batches and telemetry already queued behind this event
+	// before the reply channels close: aborted attempts are exactly the ones
+	// whose timeline matters most. Bounded — only what is in the channel
+	// right now.
 	for {
 		select {
 		case ev := <-c.events:
-			if !ev.down && ev.kind == fTrace {
+			if ev.down {
+				continue
+			}
+			switch ev.kind {
+			case fTrace:
 				if tm, err := decodeTrace(ev.body); err == nil {
 					c.foldTrace(tm)
 				}
+			case fTelemetry:
+				c.foldTelemetry(ev)
 			}
 		default:
 			return attemptOutcome{
 				ok: false, err: err, clean: clean,
 				committed: c.committed, log: c.log[:c.commitLen],
-				trace: c.traceRecs, clockErr: c.maxClockErr(),
+				trace: c.traceRecs, clockErr: c.maxClockErr(), stragglers: c.stragglers,
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mp
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -10,12 +11,16 @@ import (
 )
 
 // FleetMonitor aggregates launcher-side observability — the live straggler
-// feed plus the post-launch departure census — and serves it as OpenMetrics
-// text. Wire Straggler into LaunchSpec.OnStraggler and WriteOpenMetrics into
-// a harness.DebugServer's /metrics handler; call Finish when Launch returns
-// so the scrape picks up the exit-code tallies.
+// feed, every worker's latest substrate telemetry, and the post-launch
+// departure census — and serves it as OpenMetrics text. Set it as
+// LaunchSpec.Monitor and wire WriteOpenMetrics into a harness.DebugServer's
+// /metrics handler; call Finish when Launch returns so the scrape picks up
+// the exit-code tallies.
 type FleetMonitor struct {
+	watch io.Writer
+
 	mu       sync.Mutex
+	workers  map[int]obs.ProcessTelemetry // latest snapshot per worker index
 	latest   StragglerStat
 	has      bool
 	epochs   int64
@@ -26,18 +31,31 @@ type FleetMonitor struct {
 	exits    map[string]int
 }
 
-// NewFleetMonitor builds an empty monitor.
-func NewFleetMonitor() *FleetMonitor {
-	return &FleetMonitor{exits: map[string]int{}}
+// NewFleetMonitor builds an empty monitor. A non-nil watch receives one
+// line per straggler summary as the fleet runs (declpat-launch -watch).
+func NewFleetMonitor(watch io.Writer) *FleetMonitor {
+	return &FleetMonitor{watch: watch, workers: map[int]obs.ProcessTelemetry{}, exits: map[string]int{}}
 }
 
-// Straggler records one per-epoch imbalance summary (the
-// LaunchSpec.OnStraggler feed; safe to call from the coordinator event loop).
-func (m *FleetMonitor) Straggler(st StragglerStat) {
+// straggler records one per-epoch imbalance summary. Called from the
+// coordinator event loop.
+func (m *FleetMonitor) straggler(st StragglerStat) {
 	m.mu.Lock()
 	m.latest = st
 	m.has = true
 	m.epochs++
+	m.mu.Unlock()
+	if m.watch != nil {
+		fmt.Fprintln(m.watch, "mp: "+st.String())
+	}
+}
+
+// telemetry replaces worker's substrate snapshot. A respawned worker's
+// counters restart from zero, which a scraper reads as a counter reset.
+// Called from the coordinator event loop.
+func (m *FleetMonitor) telemetry(worker int, t obs.ProcessTelemetry) {
+	m.mu.Lock()
+	m.workers[worker] = t
 	m.mu.Unlock()
 }
 
@@ -74,7 +92,9 @@ func (m *FleetMonitor) Latest() (StragglerStat, bool) {
 	return m.latest, m.has
 }
 
-// WriteOpenMetrics emits the monitor's families in OpenMetrics text form.
+// WriteOpenMetrics emits the monitor's families in OpenMetrics text form:
+// the declpat_fleet_* families, then every worker's substrate families
+// labelled process="worker-<i>" (obs.WriteProcessTelemetry).
 func (m *FleetMonitor) WriteOpenMetrics(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -128,5 +148,16 @@ func (m *FleetMonitor) WriteOpenMetrics(w io.Writer) error {
 			om.SampleInt("declpat_fleet_worker_exits_total", []string{"exit", k}, int64(m.exits[k]))
 		}
 	}
+
+	workers := make([]int, 0, len(m.workers))
+	for w := range m.workers {
+		workers = append(workers, w)
+	}
+	sort.Ints(workers)
+	procs := make([]obs.ProcessTelemetry, len(workers))
+	for i, w := range workers {
+		procs[i] = m.workers[w]
+	}
+	obs.WriteProcessTelemetry(om, procs)
 	return om.Close()
 }

@@ -52,9 +52,14 @@ func TestStragglerTrackerFold(t *testing.T) {
 }
 
 func TestFleetMonitorOpenMetrics(t *testing.T) {
-	mon := NewFleetMonitor()
-	mon.Straggler(StragglerStat{Epoch: 4, Ranks: 2, MeanNS: 80, MaxNS: 120, MinNS: 40,
+	var watch strings.Builder
+	mon := NewFleetMonitor(&watch)
+	mon.straggler(StragglerStat{Epoch: 4, Ranks: 2, MeanNS: 80, MaxNS: 120, MinNS: 40,
 		SlowRank: 1, Imbalance: 1.5, PerRank: map[int]int64{0: 40, 1: 120}})
+	if !strings.Contains(watch.String(), "epoch 4: imbalance 1.50") {
+		t.Fatalf("watch line = %q", watch.String())
+	}
+	mon.telemetry(1, obs.ProcessTelemetry{Process: "worker-1", Counters: map[string]int64{"msgs_sent": 7}})
 	mon.Finish(&LaunchResult{
 		Vectors:         [][]int64{{1}},
 		Attempts:        2,
@@ -79,6 +84,7 @@ func TestFleetMonitorOpenMetrics(t *testing.T) {
 		"declpat_fleet_clock_err_seconds 5e-05",
 		`declpat_fleet_worker_exits_total{exit="code 0 (clean)"} 3`,
 		`declpat_fleet_worker_exits_total{exit="killed by signal"} 1`,
+		`declpat_msgs_sent_total{process="worker-1"} 7`,
 		"# EOF",
 	} {
 		if !strings.Contains(got, want) {

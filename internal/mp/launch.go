@@ -64,11 +64,11 @@ type LaunchSpec struct {
 	// temporary directory removed after the launch. Must be on a filesystem
 	// shared by launcher and workers.
 	CheckpointDir string
-	// OnStraggler, when non-nil, receives one per-epoch imbalance summary as
-	// the workers' streamed phase data completes each epoch — the live
-	// straggler feed behind declpat-launch -watch. Called from the
-	// coordinator event loop; must not block.
-	OnStraggler func(StragglerStat)
+	// Monitor, when non-nil, receives the fleet's live observability: one
+	// per-epoch imbalance summary as the workers' streamed phase data
+	// completes each epoch, and each worker's substrate telemetry — what
+	// declpat-launch -watch prints and -metrics serves.
+	Monitor *FleetMonitor
 	// Log receives launcher diagnostics and worker stderr (nil discards).
 	Log io.Writer
 }
@@ -218,14 +218,7 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 					p.cmd.Process.Signal(syscall.SIGTERM)
 				}
 			},
-			OnStraggler: func(st StragglerStat) {
-				// coord.run() blocks the loop below until the attempt ends,
-				// so appending from the event loop cannot race Launch.
-				res.Stragglers = append(res.Stragglers, st)
-				if spec.OnStraggler != nil {
-					spec.OnStraggler(st)
-				}
-			},
+			Monitor:      spec.Monitor,
 			RoundTimeout: spec.RoundTimeout,
 			Liveness:     spec.Liveness,
 			Logf:         logf,
@@ -261,6 +254,7 @@ func Launch(spec LaunchSpec) (*LaunchResult, error) {
 			return nil, spawnErr
 		}
 		fleetRecs = append(fleetRecs, out.trace...)
+		res.Stragglers = append(res.Stragglers, out.stragglers...)
 		if out.clockErr > res.ClockErrNS {
 			res.ClockErrNS = out.clockErr
 		}
@@ -436,10 +430,10 @@ const (
 	// ExitRestart: the fleet aborted (a peer died or a fault was reported);
 	// the worker exited so the launcher can respawn it.
 	ExitRestart = 3
-	// ExitPeerClosed: the control (or relay) peer closed the connection.
+	// ExitPeerClosed: the control peer closed the connection.
 	ExitPeerClosed = 4
-	// ExitDecode: a control (or relay) frame failed to decode — protocol
-	// damage, distinct from a dead peer.
+	// ExitDecode: a control frame failed to decode — protocol damage,
+	// distinct from a dead peer.
 	ExitDecode = 5
 )
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -349,4 +350,82 @@ func TestLaunchFleetObservability(t *testing.T) {
 			t.Fatalf("worker %d final dump reason %q, want the clean-completion persist", w, d.Reason)
 		}
 	}
+}
+
+// TestLaunchServesWorkerTelemetry is the cross-process telemetry acceptance
+// test: every rank-host worker streams its substrate telemetry over the
+// control plane, and the launcher's monitor serves it per worker next to
+// the declpat_fleet_* families in one exposition. Summed over workers, every
+// message sent is handled exactly once. A fleet respawned after a kill still
+// shows every worker's series.
+func TestLaunchServesWorkerTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	for _, tc := range []struct {
+		name string
+		kill *mp.KillSpec
+	}{
+		{"fault-free", nil},
+		{"kill-respawn", &mp.KillSpec{Worker: 1, Epoch: 0, Mode: "body"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := testJob("bfs")
+			job.TraceDir = t.TempDir() // streams traces, which turns timing on
+			const workers = 2
+			mon := mp.NewFleetMonitor(nil)
+			res := launch(t, mp.LaunchSpec{Job: job, Workers: workers, RootSeed: 31, Kill: tc.kill, Monitor: mon})
+			mon.Finish(res)
+			checkIdentical(t, job, res.Vectors)
+
+			var sb strings.Builder
+			if err := mon.WriteOpenMetrics(&sb); err != nil {
+				t.Fatalf("WriteOpenMetrics: %v", err)
+			}
+			om := sb.String()
+			if n := strings.Count(om, "# EOF"); n != 1 {
+				t.Fatalf("exposition has %d # EOF lines, want 1:\n%s", n, om)
+			}
+			for _, want := range []string{
+				"declpat_fleet_attempts_total",
+				`declpat_phase_duration_seconds_bucket{process="worker-0",phase="kernel"`,
+			} {
+				if !strings.Contains(om, want) {
+					t.Fatalf("exposition missing %q:\n%s", want, om)
+				}
+			}
+			var sent, handled int64
+			for w := 0; w < workers; w++ {
+				s, ok := sampleValue(om, fmt.Sprintf(`declpat_msgs_sent_total{process="worker-%d"}`, w))
+				if !ok {
+					t.Fatalf("worker %d has no msgs_sent series:\n%s", w, om)
+				}
+				h, _ := sampleValue(om, fmt.Sprintf(`declpat_handlers_run_total{process="worker-%d"}`, w))
+				sent += s
+				handled += h
+			}
+			t.Logf("summed over workers: msgs_sent %d, handlers_run %d", sent, handled)
+			if tc.kill != nil {
+				if res.Attempts != 2 {
+					t.Fatalf("kill-body launch took %d attempts, want 2", res.Attempts)
+				}
+				return // the respawned attempt restarts from a checkpoint
+			}
+			if sent == 0 || sent != handled {
+				t.Fatalf("summed over workers msgs_sent = %d, handlers_run = %d; want equal and > 0", sent, handled)
+			}
+		})
+	}
+}
+
+// sampleValue returns the integer value of the exposition line that starts
+// with series followed by a space.
+func sampleValue(om, series string) (int64, bool) {
+	for _, line := range strings.Split(om, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
 }

@@ -19,6 +19,7 @@ package mp
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 
 	"declpat/internal/am"
 	"declpat/internal/ckpt"
+	"declpat/internal/obs"
 )
 
 // Wire format: every frame is
@@ -45,7 +47,7 @@ const protoMagic = "DPCP"
 // protoVersion is bumped on any incompatible frame change; coordinator and
 // client must match exactly (a launched fleet runs one binary, so a mismatch
 // means a stale worker from a previous build).
-const protoVersion = 1
+const protoVersion = 2
 
 // maxFrame bounds a control frame. Gather releases carry one i64 per global
 // rank and welcomes carry the committed collective log, both far below this.
@@ -77,6 +79,7 @@ const (
 	fClockPing      byte = 21 // c→s: clock-offset probe (worker send time)
 	fClockPong      byte = 22 // s→c: probe echo + coordinator clock reading
 	fTrace          byte = 23 // c→s: bounded batch of trace records (JSON)
+	fTelemetry      byte = 24 // c→s: substrate telemetry snapshot (JSON)
 )
 
 func kindName(k byte) string {
@@ -88,7 +91,7 @@ func kindName(k byte) string {
 		fFinish: "finish", fFault: "fault", fAbort: "abort", fGoodbye: "goodbye",
 		fGoodbyeAck: "goodbye-ack", fResult: "result", fResultDone: "result-done",
 		fHeartbeat: "heartbeat", fClockPing: "clock-ping", fClockPong: "clock-pong",
-		fTrace: "trace",
+		fTrace: "trace", fTelemetry: "telemetry",
 	}
 	if n, ok := names[k]; ok {
 		return n
@@ -286,8 +289,10 @@ func encodeStrings(ss []string) []byte {
 func decodeStrings(b []byte) ([]string, error) {
 	d := ckpt.Dec{B: b}
 	n := int(d.U32())
-	if d.Err == nil && n > maxFrame {
-		return nil, fmt.Errorf("%w: string table has %d entries", ErrDecode, n)
+	// Every entry carries at least its u32 length prefix; a larger count is
+	// damage, and must be rejected before it sizes the allocation below.
+	if d.Err == nil && n > len(b)/4 {
+		return nil, fmt.Errorf("%w: string table has %d entries in %d bytes", ErrDecode, n, len(b))
 	}
 	out := make([]string, 0, n)
 	for i := 0; i < n && d.Err == nil; i++ {
@@ -520,6 +525,22 @@ func decodeTrace(b []byte) (traceMsg, error) {
 		return m, fmt.Errorf("%w: trace batch: %v", ErrDecode, err)
 	}
 	return m, nil
+}
+
+// encodeTelemetry encodes a worker's substrate telemetry snapshot. JSON,
+// like trace batches: telemetry is a handful of counters and small
+// fixed-bucket histograms sent a few times a second, and its series names
+// are open-ended.
+func encodeTelemetry(t obs.ProcessTelemetry) ([]byte, error) {
+	return json.Marshal(t)
+}
+
+func decodeTelemetry(b []byte) (obs.ProcessTelemetry, error) {
+	var t obs.ProcessTelemetry
+	if err := json.Unmarshal(b, &t); err != nil {
+		return t, fmt.Errorf("%w: telemetry: %v", ErrDecode, err)
+	}
+	return t, nil
 }
 
 // resultMsg ships one result-vector shard: the values of one local rank of

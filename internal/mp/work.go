@@ -27,6 +27,12 @@ import (
 // frame overhead.
 const traceFlushInterval = 25 * time.Millisecond
 
+// telemetryInterval paces the worker's substrate telemetry snapshots to the
+// coordinator (at most one per interval from the flush ticker, plus one in
+// the final drain): frequent enough for a live /metrics scrape, rare enough
+// that the JSON snapshot stays off the control plane's critical path.
+const telemetryInterval = 250 * time.Millisecond
+
 // Environment variables the launcher sets on every spawned worker. A binary
 // that wants to host ranks calls MaybeWorker early in main (or TestMain);
 // when the variables are absent it is a no-op and the binary runs normally.
@@ -134,11 +140,13 @@ func RunWorker(addr string, worker int) int {
 	hooks := u.ControlHooks()
 	cl.SetHooks(hooks)
 
-	// Stream trace batches and clock estimates while the run is live: the
-	// coordinator merges the batches into the fleet timeline and feeds the
-	// straggler detector, and the flight recorder's header carries the latest
-	// offset so postmortem timestamps line up with the fleet trace. A worker
-	// killed mid-run has still shipped everything up to its last flush.
+	// Stream trace batches, clock estimates, and telemetry snapshots while
+	// the run is live: the coordinator merges the batches into the fleet
+	// timeline and feeds the straggler detector, the flight recorder's header
+	// carries the latest offset so postmortem timestamps line up with the
+	// fleet trace, and the launcher serves the snapshots on its /metrics. A
+	// worker killed mid-run has still shipped everything up to its last
+	// flush.
 	stopFlush := make(chan struct{})
 	flushDone := make(chan struct{})
 	var cursors []int64
@@ -164,6 +172,16 @@ func RunWorker(addr string, worker int) int {
 			Offset: off, ErrBound: errB, Final: final, Records: js,
 		})
 	}
+	var lastTelemetry time.Time
+	sendTelemetry := func(final bool) {
+		if !final && time.Since(lastTelemetry) < telemetryInterval {
+			return
+		}
+		lastTelemetry = time.Now()
+		// A failed write already failed the client; the run's own control
+		// traffic reports it.
+		_ = cl.SendTelemetry(u.Telemetry())
+	}
 	go func() {
 		defer close(flushDone)
 		tick := time.NewTicker(traceFlushInterval)
@@ -172,8 +190,10 @@ func RunWorker(addr string, worker int) int {
 			select {
 			case <-tick.C:
 				flushTrace(false)
+				sendTelemetry(false)
 			case <-stopFlush:
 				flushTrace(true)
+				sendTelemetry(true)
 				return
 			}
 		}

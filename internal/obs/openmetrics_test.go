@@ -74,7 +74,7 @@ func TestOMWriterLabelEscaping(t *testing.T) {
 func TestMetricName(t *testing.T) {
 	for in, want := range map[string]string{
 		"msgs_sent":    "msgs_sent",
-		"relay.active": "relay_active",
+		"queue.active": "queue_active",
 		"99th-pct":     "_99th_pct",
 		"büld":         "b_ld",
 	} {
