@@ -41,10 +41,10 @@ type ssspBench struct {
 	eng *pattern.Engine
 }
 
-func newSSSPBench(cfg am.Config, n int, edges []distgraph.Edge, popts pattern.PlanOptions,
+func newSSSPBench(ranks int, opts []am.Option, n int, edges []distgraph.Edge, popts pattern.PlanOptions,
 	mk func(u *am.Universe, s *algorithms.SSSP)) *ssspBench {
-	u := am.NewUniverse(cfg)
-	d := distgraph.NewBlockDist(n, cfg.Ranks)
+	u := am.New(ranks, opts...)
+	d := distgraph.NewBlockDist(n, ranks)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), popts)
 	s := algorithms.NewSSSP(eng)
@@ -54,38 +54,40 @@ func newSSSPBench(cfg am.Config, n int, edges []distgraph.Edge, popts pattern.Pl
 
 // runSSSPBench rebuilds the universe per iteration (universes are
 // single-Run) and reports message metrics from the final iteration.
-func runSSSPBench(b *testing.B, cfg am.Config, popts pattern.PlanOptions,
+func runSSSPBench(b *testing.B, ranks int, opts []am.Option, popts pattern.PlanOptions,
 	mk func(u *am.Universe, s *algorithms.SSSP)) {
 	n, edges := benchGraph(b)
 	b.ResetTimer()
 	var last *ssspBench
 	for i := 0; i < b.N; i++ {
-		sb := newSSSPBench(cfg, n, edges, popts, mk)
-		sb.u.Run(func(r *am.Rank) { sb.s.Run(r, 0) })
+		sb := newSSSPBench(ranks, opts, n, edges, popts, mk)
+		if err := sb.u.Run(func(r *am.Rank) { sb.s.Run(r, 0) }); err != nil {
+			b.Fatal(err)
+		}
 		last = sb
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(last.u.Stats.MsgsSent()), "msgs/op")
-	b.ReportMetric(float64(last.u.Stats.Envelopes()), "envelopes/op")
+	b.ReportMetric(float64(last.u.Stats.Snapshot().MsgsSent), "msgs/op")
+	b.ReportMetric(float64(last.u.Stats.Snapshot().Envelopes), "envelopes/op")
 	b.ReportMetric(float64(last.s.Relax.Stats.ModsChanged.Load()), "relax-ok/op")
 }
 
 // BenchmarkE1SSSPStrategies — Fig. 1: fixed-point vs Δ-stepping work
 // profiles.
 func BenchmarkE1SSSPStrategies(b *testing.B) {
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	opts := []am.Option{am.WithThreads(2)}
 	b.Run("fixed-point", func(b *testing.B) {
-		runSSSPBench(b, cfg, pattern.DefaultPlanOptions(),
+		runSSSPBench(b, 4, opts, pattern.DefaultPlanOptions(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 	})
 	for _, delta := range []int64{8, 64, 512} {
 		b.Run("delta-"+itoa(int(delta)), func(b *testing.B) {
-			runSSSPBench(b, cfg, pattern.DefaultPlanOptions(),
+			runSSSPBench(b, 4, opts, pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseDelta(u, delta) })
 		})
 	}
 	b.Run("delta-dist-64x2", func(b *testing.B) {
-		runSSSPBench(b, cfg, pattern.DefaultPlanOptions(),
+		runSSSPBench(b, 4, opts, pattern.DefaultPlanOptions(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDeltaDistributed(u, 64, 2) })
 	})
 }
@@ -99,7 +101,7 @@ func BenchmarkE2MergeOptimization(b *testing.B) {
 			name = "unmerged"
 		}
 		b.Run(name, func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 				pattern.PlanOptions{Merge: merged, Fold: true},
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -118,18 +120,20 @@ func BenchmarkE3CCParallelSearch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+				u := am.New(4, am.WithThreads(2))
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: true})
 				lm := pmap.NewLockMap(d, 1)
 				eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
 				c := algorithms.NewCC(eng, lm)
 				c.FlushEvery = fe
-				u.Run(func(r *am.Rank) { c.Run(r) })
+				if err := u.Run(func(r *am.Rank) { c.Run(r) }); err != nil {
+					b.Fatal(err)
+				}
 				last = u
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.MsgsSent()), "msgs/op")
+			b.ReportMetric(float64(last.Stats.Snapshot().MsgsSent), "msgs/op")
 		})
 	}
 }
@@ -157,7 +161,7 @@ func BenchmarkE4PlannerModes(b *testing.B) {
 func BenchmarkE5Coalescing(b *testing.B) {
 	for _, cs := range []int{1, 16, 256} {
 		b.Run("coalesce-"+itoa(cs), func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2), am.WithCoalesce(cs)},
 				pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -176,19 +180,21 @@ func BenchmarkE6ReductionCache(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 256})
+				u := am.New(4, am.WithThreads(2), am.WithCoalesce(256))
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, distgraph.Options{})
 				h := algorithms.NewHandSSSP(u, g)
 				if cached {
 					h.WithReductionCache()
 				}
-				u.Run(func(r *am.Rank) { h.Run(r, 0) })
+				if err := u.Run(func(r *am.Rank) { h.Run(r, 0) }); err != nil {
+					b.Fatal(err)
+				}
 				last = u
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.MsgsSent()), "msgs/op")
-			b.ReportMetric(float64(last.Stats.MsgsSuppressed()), "suppressed/op")
+			b.ReportMetric(float64(last.Stats.Snapshot().MsgsSent), "msgs/op")
+			b.ReportMetric(float64(last.Stats.Snapshot().MsgsSuppressed), "suppressed/op")
 		})
 	}
 }
@@ -197,7 +203,7 @@ func BenchmarkE6ReductionCache(b *testing.B) {
 func BenchmarkE7Scaling(b *testing.B) {
 	for _, rc := range [][2]int{{1, 1}, {2, 2}, {4, 2}, {8, 2}} {
 		b.Run("ranks-"+itoa(rc[0])+"x"+itoa(rc[1]), func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]},
+			runSSSPBench(b, rc[0], []am.Option{am.WithThreads(rc[1])},
 				pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -208,7 +214,7 @@ func BenchmarkE7Scaling(b *testing.B) {
 func BenchmarkE8Termination(b *testing.B) {
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		b.Run(det.String(), func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2), am.WithDetector(det)},
 				pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -219,17 +225,19 @@ func BenchmarkE8Termination(b *testing.B) {
 func BenchmarkE9AbstractionOverhead(b *testing.B) {
 	n, edges := benchGraph(b)
 	b.Run("pattern", func(b *testing.B) {
-		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+		runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 			pattern.DefaultPlanOptions(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 	})
 	b.Run("hand-written", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+			u := am.New(4, am.WithThreads(2))
 			d := distgraph.NewBlockDist(n, 4)
 			g := distgraph.Build(d, edges, distgraph.Options{})
 			h := algorithms.NewHandSSSP(u, g)
-			u.Run(func(r *am.Rank) { h.Run(r, 0) })
+			if err := u.Run(func(r *am.Rank) { h.Run(r, 0) }); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -242,7 +250,7 @@ func BenchmarkE10Folding(b *testing.B) {
 			name = "fold-off"
 		}
 		b.Run(name, func(b *testing.B) {
-			runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+			runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 				pattern.PlanOptions{Merge: true, Fold: fold},
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
@@ -254,7 +262,7 @@ func BenchmarkE11PointerJump(b *testing.B) {
 	for _, L := range []int{64, 512} {
 		b.Run("chain-"+itoa(L), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1})
+				u := am.New(4, am.WithThreads(1))
 				d := distgraph.NewBlockDist(L, 4)
 				g := distgraph.Build(d, gen.Path(L, gen.Weights{}, 0), distgraph.Options{})
 				lm := pmap.NewLockMap(d, 1)
@@ -271,7 +279,7 @@ func BenchmarkE11PointerJump(b *testing.B) {
 					b.Fatal(err)
 				}
 				jump := bound.Action("cc_jump")
-				u.Run(func(r *am.Rank) {
+				if err := u.Run(func(r *am.Rank) {
 					cmap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 						if v > 0 {
 							cmap.Set(r.ID(), v, int64(v)-1)
@@ -281,7 +289,9 @@ func BenchmarkE11PointerJump(b *testing.B) {
 					locals := algorithms.LocalVertices(g, r)
 					for strategy.Once(r, jump, locals) {
 					}
-				})
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -291,12 +301,12 @@ func BenchmarkE11PointerJump(b *testing.B) {
 // split.
 func BenchmarkE12LightHeavy(b *testing.B) {
 	b.Run("plain-delta-16", func(b *testing.B) {
-		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+		runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 			pattern.DefaultPlanOptions(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDelta(u, 16) })
 	})
 	b.Run("light-heavy-16", func(b *testing.B) {
-		runSSSPBench(b, am.Config{Ranks: 4, ThreadsPerRank: 2},
+		runSSSPBench(b, 4, []am.Option{am.WithThreads(2)},
 			pattern.DefaultPlanOptions(),
 			func(u *am.Universe, s *algorithms.SSSP) { s.UseDeltaLightHeavy(u, 16) })
 	})
@@ -315,18 +325,20 @@ func BenchmarkE13PageRank(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+				u := am.New(4, am.WithThreads(2))
 				d := distgraph.NewBlockDist(n, 4)
 				g := distgraph.Build(d, edges, gopts)
 				eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
 				pr := algorithms.NewPageRank(eng, mode)
 				pr.MaxIters = 5
 				pr.Tolerance = 0
-				u.Run(func(r *am.Rank) { pr.Run(r) })
+				if err := u.Run(func(r *am.Rank) { pr.Run(r) }); err != nil {
+					b.Fatal(err)
+				}
 				last = u
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.MsgsSent()), "msgs/op")
+			b.ReportMetric(float64(last.Stats.Snapshot().MsgsSent), "msgs/op")
 		})
 	}
 }
@@ -338,15 +350,15 @@ func BenchmarkE13PageRank(b *testing.B) {
 func BenchmarkE17Observability(b *testing.B) {
 	for _, v := range []struct {
 		name string
-		cfg  am.Config
+		opts []am.Option
 	}{
-		{"unsharded", am.Config{Ranks: 4, ThreadsPerRank: 2, UnshardedStats: true}},
-		{"sharded", am.Config{Ranks: 4, ThreadsPerRank: 2}},
-		{"timing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true}},
-		{"tracing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true, TraceCapacity: 1 << 20}},
+		{"unsharded", []am.Option{am.WithThreads(2), am.WithUnshardedStats()}},
+		{"sharded", []am.Option{am.WithThreads(2)}},
+		{"timing", []am.Option{am.WithThreads(2), am.WithTiming()}},
+		{"tracing", []am.Option{am.WithThreads(2), am.WithTiming(), am.WithTraceCapacity(1 << 20)}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			runSSSPBench(b, v.cfg, pattern.DefaultPlanOptions(),
+			runSSSPBench(b, 4, v.opts, pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -359,13 +371,13 @@ func BenchmarkE17Observability(b *testing.B) {
 func BenchmarkE19Lineage(b *testing.B) {
 	for _, v := range []struct {
 		name string
-		cfg  am.Config
+		opts []am.Option
 	}{
-		{"lineage-off", am.Config{Ranks: 4, ThreadsPerRank: 2, TraceCapacity: 1 << 20, Lineage: am.LineageOff}},
-		{"lineage-on", am.Config{Ranks: 4, ThreadsPerRank: 2, TraceCapacity: 1 << 20}},
+		{"lineage-off", []am.Option{am.WithThreads(2), am.WithTraceCapacity(1 << 20), am.WithLineage(am.LineageOff)}},
+		{"lineage-on", []am.Option{am.WithThreads(2), am.WithTraceCapacity(1 << 20)}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			runSSSPBench(b, v.cfg, pattern.DefaultPlanOptions(),
+			runSSSPBench(b, 4, v.opts, pattern.DefaultPlanOptions(),
 				func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 		})
 	}
@@ -383,17 +395,19 @@ func BenchmarkGobTransport(b *testing.B) {
 			n, edges := benchGraph(b)
 			var last *am.Universe
 			for i := 0; i < b.N; i++ {
-				sb := newSSSPBench(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges,
+				sb := newSSSPBench(4, []am.Option{am.WithThreads(2)}, n, edges,
 					pattern.DefaultPlanOptions(),
 					func(u *am.Universe, s *algorithms.SSSP) { s.UseFixedPoint() })
 				if wire {
 					sb.eng.MsgType().WithGobTransport()
 				}
-				sb.u.Run(func(r *am.Rank) { sb.s.Run(r, 0) })
+				if err := sb.u.Run(func(r *am.Rank) { sb.s.Run(r, 0) }); err != nil {
+					b.Fatal(err)
+				}
 				last = sb.u
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.WireBytes()), "wire-bytes/op")
+			b.ReportMetric(float64(last.Stats.Snapshot().WireBytes), "wire-bytes/op")
 		})
 	}
 }
@@ -405,10 +419,10 @@ func BenchmarkGobTransport(b *testing.B) {
 func BenchmarkMessageThroughput(b *testing.B) {
 	for _, cs := range []int{1, 64} {
 		b.Run("coalesce-"+itoa(cs), func(b *testing.B) {
-			u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 2, CoalesceSize: cs})
+			u := am.New(2, am.WithThreads(2), am.WithCoalesce(cs))
 			mt := am.Register(u, "m", func(r *am.Rank, m int64) {})
 			b.ResetTimer()
-			u.Run(func(r *am.Rank) {
+			if err := u.Run(func(r *am.Rank) {
 				r.Epoch(func(ep *am.Epoch) {
 					if r.ID() != 0 {
 						return
@@ -417,7 +431,9 @@ func BenchmarkMessageThroughput(b *testing.B) {
 						mt.SendTo(r, 1, int64(i))
 					}
 				})
-			})
+			}); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }
@@ -427,22 +443,24 @@ func BenchmarkMessageThroughput(b *testing.B) {
 func BenchmarkEpochOverhead(b *testing.B) {
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
 		b.Run(det.String(), func(b *testing.B) {
-			u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1, Detector: det})
+			u := am.New(4, am.WithThreads(1), am.WithDetector(det))
 			am.Register(u, "m", func(r *am.Rank, m int64) {})
 			b.ResetTimer()
-			u.Run(func(r *am.Rank) {
+			if err := u.Run(func(r *am.Rank) {
 				for i := 0; i < b.N; i++ {
 					r.Epoch(func(ep *am.Epoch) {})
 				}
-			})
+			}); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }
 
 // BenchmarkBuckets measures the Δ-stepping bucket structure.
 func BenchmarkBuckets(b *testing.B) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
-	u.Run(func(r *am.Rank) {
+	u := am.New(1)
+	if err := u.Run(func(r *am.Rank) {
 		bk := strategy.NewBuckets(r, 16)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -454,7 +472,9 @@ func BenchmarkBuckets(b *testing.B) {
 				}
 			}
 		}
-	})
+	}); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkGraphBuild measures distributed CSR construction.
@@ -478,7 +498,7 @@ func BenchmarkPatternCompile(b *testing.B) {
 	n := 16
 	edges := gen.Path(n, gen.Weights{}, 0)
 	for i := 0; i < b.N; i++ {
-		u := am.NewUniverse(am.Config{Ranks: 1})
+		u := am.New(1)
 		d := distgraph.NewBlockDist(n, 1)
 		g := distgraph.Build(d, edges, distgraph.Options{})
 		lm := pmap.NewLockMap(d, 1)
@@ -503,7 +523,9 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 		g := declpat.BuildGraph(d, edges, declpat.GraphOptions{})
 		eng := declpat.NewEngine(u, g, declpat.NewLockMap(d, 1), declpat.DefaultPlanOptions())
 		s := declpat.NewSSSP(eng)
-		u.Run(func(r *declpat.Rank) { s.Run(r, 0) })
+		if err := u.Run(func(r *declpat.Rank) { s.Run(r, 0) }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("cc: n=%d m=%d ranks=%d threads=%d flush-every=%d\n", n, len(edges), *ranks, *threads, *flushEvery)
 	fmt.Printf("time=%s components=%d largest=%v\n", elapsed.Round(time.Microsecond), len(sizes), top)
-	fmt.Printf("searches=%d jump-rounds=%d messages=%d\n", c.SearchesStarted(), c.JumpRounds, u.Stats.MsgsSent())
+	fmt.Printf("searches=%d jump-rounds=%d messages=%d\n", c.SearchesStarted(), c.JumpRounds, u.Stats.Snapshot().MsgsSent)
 
 	if *verify {
 		want := seq.Components(n, edges)

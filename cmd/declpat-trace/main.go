@@ -23,7 +23,7 @@
 // With -phases the tool reports the phase-timer breakdown instead: per
 // epoch, the distribution of collect/build_csr/kernel/emit/barrier/recovery
 // spans across ranks, and per rank, the total time in each phase (the
-// straggler view). Requires a trace captured with Config.Timing on. With
+// straggler view). Requires a trace captured with WithTiming on. With
 // -json any table report is emitted as a JSON array for downstream tooling:
 //
 //	declpat-trace -run sssp -phases
@@ -179,7 +179,7 @@ func main() {
 	if *phases {
 		tables = obs.PhaseTables(meta, recs)
 		if tables[0].Rows() == 0 && tables[1].Rows() == 0 {
-			fmt.Fprintln(os.Stderr, "declpat-trace: trace has no phase spans (captured with Config.Timing off?)")
+			fmt.Fprintln(os.Stderr, "declpat-trace: trace has no phase spans (captured with WithTiming off?)")
 			os.Exit(1)
 		}
 	} else {

@@ -64,8 +64,8 @@ func main() {
 	fmt.Printf("sssp: n=%d m=%d ranks=%d threads=%d strategy=%s\n", n, len(edges), *ranks, *threads, *strat)
 	fmt.Printf("time=%s reached=%d/%d\n", elapsed.Round(time.Microsecond), reached, n)
 	fmt.Printf("messages=%d envelopes=%d bytes=%d handlers=%d epochs=%d\n",
-		u.Stats.MsgsSent(), u.Stats.Envelopes(), u.Stats.BytesSent(),
-		u.Stats.HandlersRun(), u.Stats.Epochs())
+		u.Stats.Snapshot().MsgsSent, u.Stats.Snapshot().Envelopes, u.Stats.Snapshot().BytesSent,
+		u.Stats.Snapshot().HandlersRun, u.Stats.Snapshot().Epochs)
 	fmt.Printf("relax: attempts=%d succeeded=%d work-items=%d bucket-epochs=%d\n",
 		s.Relax.Stats.TestsTrue.Load()+s.Relax.Stats.TestsFalse.Load(),
 		s.Relax.Stats.ModsChanged.Load(), s.Relax.Stats.WorkItems.Load(), s.BucketEpochs())

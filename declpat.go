@@ -40,9 +40,6 @@ type (
 	// Universe is a simulated distributed machine of message-connected
 	// ranks.
 	Universe = am.Universe
-	// Config configures ranks, handler threads, coalescing, the
-	// termination detector, and the optional fault plan.
-	Config = am.Config
 	// FaultPlan injects seeded transport faults (drop, duplication,
 	// delay/reordering, corruption) and switches the universe onto the
 	// ack/retransmit reliable-delivery protocol.
@@ -67,11 +64,11 @@ type (
 	EpochHandle = am.Epoch
 	// DetectorKind selects the termination-detection protocol.
 	DetectorKind = am.DetectorKind
-	// LineageMode controls causal message lineage (Config.Lineage).
+	// LineageMode controls causal message lineage (WithLineage).
 	LineageMode = am.LineageMode
 	// MessageStats is the universe-wide message accounting.
 	MessageStats = am.Stats
-	// Transport is the message-plane backend seam (Config.Transport): the
+	// Transport is the message-plane backend seam (WithTransport): the
 	// in-process channel backend, or real sockets via SockTransport.
 	Transport = am.Transport
 	// SockOptions configures the socket transport: network (tcp/unix),
@@ -97,7 +94,7 @@ const (
 	DetectorFourCounter = am.DetectorFourCounter
 )
 
-// Lineage modes (Config.Lineage): LineageAuto stamps causal lineage exactly
+// Lineage modes (WithLineage): LineageAuto stamps causal lineage exactly
 // when tracing is enabled; LineageOn forces stamping without tracing;
 // LineageOff disables it even in traced runs.
 const (
@@ -127,35 +124,22 @@ var (
 // Option configures a Universe built with New.
 type Option = am.Option
 
-// Universe construction options (see internal/am's Config fields for the
-// full semantics of each knob).
+// Universe construction options. Each is documented on the internal/am
+// function of the same name.
 var (
-	// WithThreads sets message-handler threads per rank.
-	WithThreads = am.WithThreads
-	// WithCoalesce sets the default coalescing factor.
-	WithCoalesce = am.WithCoalesce
-	// WithDetector selects the termination-detection protocol.
-	WithDetector = am.WithDetector
-	// WithFaultPlan enables reliable delivery and injects transport faults.
-	WithFaultPlan = am.WithFaultPlan
-	// WithRecovery enables epoch-granular checkpoint/restart.
-	WithRecovery = am.WithRecovery
-	// WithMaxRecoveries bounds recovery attempts per epoch.
-	WithMaxRecoveries = am.WithMaxRecoveries
-	// WithTraceCapacity enables event tracing (total events across ranks).
-	WithTraceCapacity = am.WithTraceCapacity
-	// WithTraceRingSize pins each rank's trace ring size.
-	WithTraceRingSize = am.WithTraceRingSize
-	// WithLineage sets the causal-lineage mode.
-	WithLineage = am.WithLineage
-	// WithTiming enables latency histograms.
-	WithTiming = am.WithTiming
-	// WithUnshardedStats collapses metric shards (measurement only).
+	WithThreads        = am.WithThreads
+	WithCoalesce       = am.WithCoalesce
+	WithDetector       = am.WithDetector
+	WithFaultPlan      = am.WithFaultPlan
+	WithRecovery       = am.WithRecovery
+	WithMaxRecoveries  = am.WithMaxRecoveries
+	WithTraceCapacity  = am.WithTraceCapacity
+	WithTraceRingSize  = am.WithTraceRingSize
+	WithLineage        = am.WithLineage
+	WithTiming         = am.WithTiming
 	WithUnshardedStats = am.WithUnshardedStats
-	// WithWatchdog arms the stuck-epoch watchdog.
-	WithWatchdog = am.WithWatchdog
-	// WithTransport selects the message transport backend.
-	WithTransport = am.WithTransport
+	WithWatchdog       = am.WithWatchdog
+	WithTransport      = am.WithTransport
 )
 
 // New creates a simulated machine of `ranks` ranks configured by options:
@@ -229,13 +213,6 @@ func GobCodec[T any]() Codec[T] { return am.GobCodec[T]() }
 
 // HasFixedLayout reports whether FixedCodec[T] would succeed.
 func HasFixedLayout[T any]() bool { return am.HasFixedLayout[T]() }
-
-// NewUniverse creates a simulated machine from a Config literal.
-//
-// Deprecated: use New with functional options. NewUniverse remains only so
-// existing Config-literal callers keep compiling during the migration window;
-// it will be removed once the window closes (see README "API stability").
-func NewUniverse(cfg Config) *Universe { return am.NewUniverse(cfg) }
 
 // Distributed graph (internal/distgraph).
 type (
@@ -578,7 +555,7 @@ type (
 )
 
 // Epoch phase identifiers (Rank.Phase). The substrate times kernel, barrier,
-// and recovery automatically under Config.Timing; strategies and algorithm
+// and recovery automatically under WithTiming; strategies and algorithm
 // drivers mark collect/build_csr/emit sections explicitly.
 const (
 	PhaseCollect  = obs.PhaseCollect

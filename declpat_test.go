@@ -35,7 +35,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := declpat.NewFixedPoint(bound.Action("relax"))
-	u.Run(func(r *declpat.Rank) {
+	if err := u.Run(func(r *declpat.Rank) {
 		var seeds []declpat.Vertex
 		if g.Owner(0) == r.ID() {
 			dmap.Set(r.ID(), 0, 0)
@@ -43,7 +43,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		}
 		r.Barrier()
 		fp.Run(r, seeds)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := dmap.Gather()
 	for v := range want {
 		w := want[v]
@@ -70,7 +72,9 @@ func TestPublicAPIAlgorithms(t *testing.T) {
 	{
 		u, eng, _, _ := mk(declpat.GraphOptions{})
 		s := declpat.NewSSSP(eng).UseDelta(u, 4)
-		u.Run(func(r *declpat.Rank) { s.Run(r, 0) })
+		if err := u.Run(func(r *declpat.Rank) { s.Run(r, 0) }); err != nil {
+			t.Fatal(err)
+		}
 		if s.Dist.Gather()[0] != 0 {
 			t.Error("sssp source distance")
 		}
@@ -78,7 +82,9 @@ func TestPublicAPIAlgorithms(t *testing.T) {
 	{
 		u, eng, lm, _ := mk(declpat.GraphOptions{Symmetrize: true})
 		c := declpat.NewCC(eng, lm)
-		u.Run(func(r *declpat.Rank) { c.Run(r) })
+		if err := u.Run(func(r *declpat.Rank) { c.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		comp := c.Comp.Gather()
 		for v := range comp {
 			if comp[v] != comp[0] {
@@ -89,32 +95,42 @@ func TestPublicAPIAlgorithms(t *testing.T) {
 	{
 		u, eng, _, _ := mk(declpat.GraphOptions{Symmetrize: true})
 		m := declpat.NewMIS(eng)
-		u.Run(func(r *declpat.Rank) { m.Run(r) })
+		if err := u.Run(func(r *declpat.Rank) { m.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	{
 		u, eng, _, _ := mk(declpat.GraphOptions{Bidirectional: true})
 		pr := declpat.NewPageRank(eng, declpat.PageRankPull)
 		pr.MaxIters = 3
-		u.Run(func(r *declpat.Rank) { pr.Run(r) })
+		if err := u.Run(func(r *declpat.Rank) { pr.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	{
 		u, eng, _, _ := mk(declpat.GraphOptions{Symmetrize: true})
 		kc := declpat.NewKCore(eng, 2)
-		u.Run(func(r *declpat.Rank) { kc.Run(r) })
+		if err := u.Run(func(r *declpat.Rank) { kc.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	{
 		u, eng, _, _ := mk(declpat.GraphOptions{})
 		b := declpat.NewBFSTree(eng)
-		u.Run(func(r *declpat.Rank) { b.Run(r, 0) })
+		if err := u.Run(func(r *declpat.Rank) { b.Run(r, 0) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	{
 		u, eng, _, _ := mk(declpat.GraphOptions{})
 		w := declpat.NewWidest(eng)
 		dcount := declpat.NewDegreeCount(eng)
-		u.Run(func(r *declpat.Rank) {
+		if err := u.Run(func(r *declpat.Rank) {
 			w.Run(r, 0)
 			dcount.Run(r)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"declpat"
@@ -32,7 +33,10 @@ func main() {
 	for v := declpat.Vertex(0); int(v) < n; v += 8 {
 		sources = append(sources, v)
 	}
-	u.Run(func(r *declpat.Rank) { bc.Run(r, sources) })
+	if err := u.Run(func(r *declpat.Rank) { bc.Run(r, sources) }); err != nil {
+		fmt.Fprintln(os.Stderr, "centrality: run failed:", err)
+		os.Exit(1)
+	}
 
 	type vb struct {
 		v  declpat.Vertex
@@ -47,5 +51,5 @@ func main() {
 	for _, r := range ranked[:10] {
 		fmt.Printf("  node %4d: betweenness %9.1f\n", r.v, r.bc)
 	}
-	fmt.Printf("\nmessages: %d across %d epochs\n", u.Stats.MsgsSent(), u.Stats.Epochs())
+	fmt.Printf("\nmessages: %d across %d epochs\n", u.Stats.Snapshot().MsgsSent, u.Stats.Snapshot().Epochs)
 }

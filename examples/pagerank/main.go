@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"declpat"
@@ -24,7 +25,10 @@ func run(n int, edges []declpat.Edge, mode declpat.PageRankMode) (*declpat.PageR
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
 	pr := declpat.NewPageRank(eng, mode)
 	pr.MaxIters = 30
-	u.Run(func(r *declpat.Rank) { pr.Run(r) })
+	if err := u.Run(func(r *declpat.Rank) { pr.Run(r) }); err != nil {
+		fmt.Fprintln(os.Stderr, "pagerank: run failed:", err)
+		os.Exit(1)
+	}
 	return pr, u
 }
 
@@ -36,7 +40,7 @@ func main() {
 	pull, pullU := run(n, edges, declpat.PageRankPull)
 
 	fmt.Printf("%-18s %12s %12s\n", "", "push", "pull")
-	fmt.Printf("%-18s %12d %12d\n", "messages", pushU.Stats.MsgsSent(), pullU.Stats.MsgsSent())
+	fmt.Printf("%-18s %12d %12d\n", "messages", pushU.Stats.Snapshot().MsgsSent, pullU.Stats.Snapshot().MsgsSent)
 	fmt.Printf("%-18s %12d %12d\n", "rounds", push.Rounds, pull.Rounds)
 
 	ranks := push.Rank.Gather()

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"declpat"
 )
@@ -51,7 +52,7 @@ func main() {
 	fmt.Print(trackA.PlanInfo())
 	fmt.Print(capA.PlanInfo())
 
-	u.Run(func(r *declpat.Rank) {
+	if err := u.Run(func(r *declpat.Rank) {
 		// Seed influence scores: v² mod 251 (some out of band).
 		infMap.ForEachLocal(r.ID(), func(v declpat.Vertex, _ int64) {
 			infMap.Set(r.ID(), v, int64(v*v%251)-20)
@@ -66,7 +67,10 @@ func main() {
 				trackA.Invoke(r, v)
 			}
 		})
-	})
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "patterns: run failed:", err)
+		os.Exit(1)
+	}
 
 	fmt.Println("\nmentor sets of the first few users:")
 	for v := declpat.Vertex(0); v < 6; v++ {

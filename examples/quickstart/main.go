@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"declpat"
 )
@@ -30,9 +31,12 @@ func main() {
 	eng := declpat.NewEngine(u, g, declpat.NewLockMap(dist, 1), declpat.DefaultPlanOptions())
 
 	sssp := declpat.NewSSSP(eng) // binds the Fig. 2 pattern, fixed_point strategy
-	u.Run(func(r *declpat.Rank) {
+	if err := u.Run(func(r *declpat.Rank) {
 		sssp.Run(r, 0)
-	})
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart: run failed:", err)
+		os.Exit(1)
+	}
 
 	fmt.Println("distances from vertex 0:")
 	for v, d := range sssp.Dist.Gather() {
@@ -41,5 +45,5 @@ func main() {
 	fmt.Println("\ncompiled plan for the relax action (Fig. 6: one message, atomic min):")
 	fmt.Print(sssp.Relax.PlanInfo())
 	fmt.Printf("\nmessages sent: %d, handlers run: %d, epochs: %d\n",
-		u.Stats.MsgsSent(), u.Stats.HandlersRun(), u.Stats.Epochs())
+		u.Stats.Snapshot().MsgsSent, u.Stats.Snapshot().HandlersRun, u.Stats.Snapshot().Epochs)
 }

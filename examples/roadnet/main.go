@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"declpat"
@@ -21,7 +22,10 @@ func run(n int, edges []declpat.Edge, configure func(*declpat.Universe, *declpat
 	s := declpat.NewSSSP(eng)
 	configure(u, s)
 	start := time.Now()
-	u.Run(func(r *declpat.Rank) { s.Run(r, 0) })
+	if err := u.Run(func(r *declpat.Rank) { s.Run(r, 0) }); err != nil {
+		fmt.Fprintln(os.Stderr, "roadnet: run failed:", err)
+		os.Exit(1)
+	}
 	dur = time.Since(start)
 	attempts = s.Relax.Stats.TestsTrue.Load() + s.Relax.Stats.TestsFalse.Load()
 	succeeded = s.Relax.Stats.ModsChanged.Load()

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -30,9 +31,12 @@ func main() {
 	cc.FlushEvery = 8 // start a few searches per flush
 
 	start := time.Now()
-	u.Run(func(r *declpat.Rank) { cc.Run(r) })
+	if err := u.Run(func(r *declpat.Rank) { cc.Run(r) }); err != nil {
+		fmt.Fprintln(os.Stderr, "socialcc: run failed:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("computed in %s: %d searches, %d resolution rounds, %d messages\n",
-		time.Since(start).Round(time.Microsecond), cc.SearchesStarted(), cc.JumpRounds, u.Stats.MsgsSent())
+		time.Since(start).Round(time.Microsecond), cc.SearchesStarted(), cc.JumpRounds, u.Stats.Snapshot().MsgsSent)
 
 	sizes := map[int64]int{}
 	for _, label := range cc.Comp.Gather() {

@@ -11,9 +11,12 @@ import (
 	"declpat/internal/seq"
 )
 
-func newEngine(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options) (*am.Universe, *pattern.Engine, *pmap.LockMap) {
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+// shape is one ranks x threads universe configuration of a test matrix.
+type shape struct{ ranks, threads int }
+
+func newEngine(n int, edges []distgraph.Edge, gopts distgraph.Options, ranks int, opts ...am.Option) (*am.Universe, *pattern.Engine, *pmap.LockMap) {
+	u := am.New(ranks, opts...)
+	dist := distgraph.NewBlockDist(n, ranks)
 	g := distgraph.Build(dist, edges, gopts)
 	lm := pmap.NewLockMap(dist, 1)
 	return u, pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions()), lm
@@ -36,22 +39,26 @@ func TestSSSPAllStrategies(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, 77)
 	want := seq.Dijkstra(n, edges, 3)
 	cases := []struct {
-		name string
-		cfg  am.Config
-		mk   func(u *am.Universe, s *SSSP)
+		name  string
+		ranks int
+		opts  []am.Option
+		mk    func(u *am.Universe, s *SSSP)
 	}{
-		{"fixed-point/1x0", am.Config{Ranks: 1, ThreadsPerRank: 0}, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
-		{"fixed-point/4x2", am.Config{Ranks: 4, ThreadsPerRank: 2}, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
-		{"delta/3x1", am.Config{Ranks: 3, ThreadsPerRank: 1}, func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }},
-		{"delta-dist/2x2", am.Config{Ranks: 2, ThreadsPerRank: 2}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }},
-		{"delta-dist/fourcounter", am.Config{Ranks: 2, ThreadsPerRank: 1, Detector: am.DetectorFourCounter}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 50, 2) }},
+		{"fixed-point/1x0", 1, nil, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
+		{"fixed-point/4x2", 4, []am.Option{am.WithThreads(2)}, func(u *am.Universe, s *SSSP) { s.UseFixedPoint() }},
+		{"delta/3x1", 3, []am.Option{am.WithThreads(1)}, func(u *am.Universe, s *SSSP) { s.UseDelta(u, 30) }},
+		{"delta-dist/2x2", 2, []am.Option{am.WithThreads(2)}, func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 30, 2) }},
+		{"delta-dist/fourcounter", 2, []am.Option{am.WithThreads(1), am.WithDetector(am.DetectorFourCounter)},
+			func(u *am.Universe, s *SSSP) { s.UseDeltaDistributed(u, 50, 2) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u, eng, _ := newEngine(tc.cfg, n, edges, distgraph.Options{})
+			u, eng, _ := newEngine(n, edges, distgraph.Options{}, tc.ranks, tc.opts...)
 			s := NewSSSP(eng)
 			tc.mk(u, s)
-			u.Run(func(r *am.Rank) { s.Run(r, 3) })
+			if err := u.Run(func(r *am.Rank) { s.Run(r, 3) }); err != nil {
+				t.Fatal(err)
+			}
 			checkDist(t, tc.name, s.Dist.Gather(), want)
 		})
 	}
@@ -60,10 +67,10 @@ func TestSSSPAllStrategies(t *testing.T) {
 func TestSSSPRunTwice(t *testing.T) {
 	// Run resets state: two runs from different sources in one universe.
 	n, edges := gen.RMAT(7, 8, gen.Weights{Min: 1, Max: 9}, 5)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{}, 2, am.WithThreads(1))
 	s := NewSSSP(eng)
 	var got0, got7 []int64
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		s.Run(r, 0)
 		r.Barrier()
 		if r.ID() == 0 {
@@ -76,7 +83,9 @@ func TestSSSPRunTwice(t *testing.T) {
 			got7 = s.Dist.Gather()
 		}
 		r.Barrier()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	checkDist(t, "src0", got0, seq.Dijkstra(n, edges, 0))
 	checkDist(t, "src7", got7, seq.Dijkstra(n, edges, 7))
 }
@@ -109,13 +118,15 @@ func sameComponents(t *testing.T, label string, comp []int64, want []distgraph.V
 func TestCCDisjointCycles(t *testing.T) {
 	n, edges := gen.Components([]int{5, 1, 8, 3, 1}, 0)
 	want := seq.Components(n, edges)
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 3, ThreadsPerRank: 2},
+	for _, cfg := range []shape{
+		{1, 0},
+		{3, 2},
 	} {
-		u, eng, lm := newEngine(cfg, n, edges, distgraph.Options{Symmetrize: true})
+		u, eng, lm := newEngine(n, edges, distgraph.Options{Symmetrize: true}, cfg.ranks, am.WithThreads(cfg.threads))
 		c := NewCC(eng, lm)
-		u.Run(func(r *am.Rank) { c.Run(r) })
+		if err := u.Run(func(r *am.Rank) { c.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		sameComponents(t, "cycles", c.Comp.Gather(), want)
 	}
 }
@@ -126,9 +137,11 @@ func TestCCRandomGraphs(t *testing.T) {
 		n := 256
 		edges := gen.ER(n, 180, gen.Weights{}, seed)
 		want := seq.Components(n, edges)
-		u, eng, lm := newEngine(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, distgraph.Options{Symmetrize: true})
+		u, eng, lm := newEngine(n, edges, distgraph.Options{Symmetrize: true}, 4, am.WithThreads(2))
 		c := NewCC(eng, lm)
-		u.Run(func(r *am.Rank) { c.Run(r) })
+		if err := u.Run(func(r *am.Rank) { c.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		sameComponents(t, "er", c.Comp.Gather(), want)
 	}
 }
@@ -140,10 +153,12 @@ func TestCCFlushPacing(t *testing.T) {
 	want := seq.Components(n, edges)
 	var conflictsSerial, conflictsBulk int64
 	for _, fe := range []int{1, 1 << 30} {
-		u, eng, lm := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{Symmetrize: true})
+		u, eng, lm := newEngine(n, edges, distgraph.Options{Symmetrize: true}, 3, am.WithThreads(1))
 		c := NewCC(eng, lm)
 		c.FlushEvery = fe
-		u.Run(func(r *am.Rank) { c.Run(r) })
+		if err := u.Run(func(r *am.Rank) { c.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		sameComponents(t, "pacing", c.Comp.Gather(), want)
 		// Conflict volume proxy: elif branch executions.
 		trues := c.Search.Stats.TestsTrue.Load()
@@ -159,9 +174,11 @@ func TestCCFlushPacing(t *testing.T) {
 
 func TestCCSingleComponent(t *testing.T) {
 	n, edges := gen.Torus2D(8, 8, gen.Weights{}, 0)
-	u, eng, lm := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, edges, distgraph.Options{Symmetrize: true})
+	u, eng, lm := newEngine(n, edges, distgraph.Options{Symmetrize: true}, 2, am.WithThreads(2))
 	c := NewCC(eng, lm)
-	u.Run(func(r *am.Rank) { c.Run(r) })
+	if err := u.Run(func(r *am.Rank) { c.Run(r) }); err != nil {
+		t.Fatal(err)
+	}
 	comp := c.Comp.Gather()
 	for v := range comp {
 		if comp[v] != comp[0] {
@@ -173,9 +190,11 @@ func TestCCSingleComponent(t *testing.T) {
 func TestBFSMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 5}, 3)
 	want := seq.BFS(n, edges, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{}, 3, am.WithThreads(1))
 	b := NewBFS(eng)
-	u.Run(func(r *am.Rank) { b.Run(r, 0) })
+	if err := u.Run(func(r *am.Rank) { b.Run(r, 0) }); err != nil {
+		t.Fatal(err)
+	}
 	checkDist(t, "bfs", b.Level.Gather(), want)
 	// The BFS pattern compiles to the same single-message atomic-min plan
 	// as SSSP (pattern reuse).
@@ -188,9 +207,11 @@ func TestBFSMatchesSequential(t *testing.T) {
 func TestWidestMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 50}, 19)
 	wantRaw := seq.WidestPath(n, edges, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{}, 3, am.WithThreads(1))
 	w := NewWidest(eng)
-	u.Run(func(r *am.Rank) { w.Run(r, 0) })
+	if err := u.Run(func(r *am.Rank) { w.Run(r, 0) }); err != nil {
+		t.Fatal(err)
+	}
 	got := w.Cap.Gather()
 	for v := range wantRaw {
 		want := wantRaw[v]
@@ -210,18 +231,20 @@ func TestHandWrittenBaselines(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 23)
 	wantD := seq.Dijkstra(n, edges, 0)
 	wantB := seq.BFS(n, edges, 0)
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+	u := am.New(3, am.WithThreads(2))
 	dist := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	hs := NewHandSSSP(u, g).WithReductionCache()
 	hb := NewHandBFS(u, g)
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		hs.Run(r, 0)
 		hb.Run(r, 0)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	checkDist(t, "hand-sssp", hs.Dist.Gather(), wantD)
 	checkDist(t, "hand-bfs", hb.Level.Gather(), wantB)
-	if u.Stats.MsgsSuppressed() == 0 {
+	if u.Stats.Snapshot().MsgsSuppressed == 0 {
 		t.Error("reduction cache suppressed nothing on an RMAT graph")
 	}
 }
@@ -230,13 +253,15 @@ func TestHandWrittenBaselines(t *testing.T) {
 // the same universe on the same graph (E9's correctness leg).
 func TestPatternVsHandSameResults(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 30}, 31)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, edges, distgraph.Options{})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{}, 2, am.WithThreads(2))
 	s := NewSSSP(eng)
 	h := NewHandSSSP(u, eng.Graph())
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		s.Run(r, 0)
 		h.Run(r, 0)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	sd, hd := s.Dist.Gather(), h.Dist.Gather()
 	for v := range sd {
 		if sd[v] != hd[v] {

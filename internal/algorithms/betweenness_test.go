@@ -25,13 +25,15 @@ func TestBetweennessTorus(t *testing.T) {
 	n, edges := gen.Torus2D(5, 5, gen.Weights{}, 0)
 	sources := []distgraph.Vertex{0, 7, 13}
 	want := seq.Betweenness(n, edges, sources)
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 3, ThreadsPerRank: 2},
+	for _, cfg := range []shape{
+		{1, 0},
+		{3, 2},
 	} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{Bidirectional: true})
+		u, eng, _ := newEngine(n, edges, distgraph.Options{Bidirectional: true}, cfg.ranks, am.WithThreads(cfg.threads))
 		b := NewBetweenness(eng)
-		u.Run(func(r *am.Rank) { b.Run(r, sources) })
+		if err := u.Run(func(r *am.Rank) { b.Run(r, sources) }); err != nil {
+			t.Fatal(err)
+		}
 		checkBC(t, "torus", b.BC.Gather(), want)
 	}
 }
@@ -42,9 +44,11 @@ func TestBetweennessRandom(t *testing.T) {
 		edges := gen.ER(n, 150, gen.Weights{}, seed)
 		sources := []distgraph.Vertex{0, 5, 11, 23}
 		want := seq.Betweenness(n, edges, sources)
-		u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, edges, distgraph.Options{Bidirectional: true})
+		u, eng, _ := newEngine(n, edges, distgraph.Options{Bidirectional: true}, 2, am.WithThreads(2))
 		b := NewBetweenness(eng)
-		u.Run(func(r *am.Rank) { b.Run(r, sources) })
+		if err := u.Run(func(r *am.Rank) { b.Run(r, sources) }); err != nil {
+			t.Fatal(err)
+		}
 		checkBC(t, "er", b.BC.Gather(), want)
 	}
 }
@@ -54,9 +58,11 @@ func TestBetweennessPath(t *testing.T) {
 	// dependency (number of targets beyond it): bc[1]=3, bc[2]=2, bc[3]=1.
 	n := 5
 	edges := gen.Path(n, gen.Weights{}, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{Bidirectional: true})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{Bidirectional: true}, 2, am.WithThreads(1))
 	b := NewBetweenness(eng)
-	u.Run(func(r *am.Rank) { b.Run(r, []distgraph.Vertex{0}) })
+	if err := u.Run(func(r *am.Rank) { b.Run(r, []distgraph.Vertex{0}) }); err != nil {
+		t.Fatal(err)
+	}
 	got := b.BC.Gather()
 	wantExact := []int64{0, 3 * BCScale, 2 * BCScale, 1 * BCScale, 0}
 	for v := range wantExact {
@@ -69,7 +75,7 @@ func TestBetweennessPath(t *testing.T) {
 func TestBetweennessRequiresBidirectional(t *testing.T) {
 	n := 4
 	edges := gen.Path(n, gen.Weights{}, 0)
-	_, eng, _ := newEngine(am.Config{Ranks: 1}, n, edges, distgraph.Options{})
+	_, eng, _ := newEngine(n, edges, distgraph.Options{}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for non-bidirectional graph")

@@ -27,23 +27,27 @@ func TestAlgorithmsAcrossDistributions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const ranks = 4
 			{
-				u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 2})
+				u := am.New(ranks, am.WithThreads(2))
 				d := mk(ranks)
 				g := distgraph.Build(d, edges, distgraph.Options{})
 				eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
 				s := NewSSSP(eng)
-				u.Run(func(r *am.Rank) { s.Run(r, 0) })
+				if err := u.Run(func(r *am.Rank) { s.Run(r, 0) }); err != nil {
+					t.Fatal(err)
+				}
 				checkDist(t, name+"/sssp", s.Dist.Gather(), wantD)
 			}
 			{
-				u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 2})
+				u := am.New(ranks, am.WithThreads(2))
 				d := mk(ranks)
 				g := distgraph.Build(d, edges, distgraph.Options{Symmetrize: true})
 				lm := pmap.NewLockMap(d, 1)
 				eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
 				c := NewCC(eng, lm)
 				c.FlushEvery = 8
-				u.Run(func(r *am.Rank) { c.Run(r) })
+				if err := u.Run(func(r *am.Rank) { c.Run(r) }); err != nil {
+					t.Fatal(err)
+				}
 				sameComponents(t, name+"/cc", c.Comp.Gather(), wantC)
 			}
 		})
@@ -57,13 +61,15 @@ func TestAlgorithmsAcrossDistributions(t *testing.T) {
 func TestSSSPDialLabelSetting(t *testing.T) {
 	n, edges := gen.Torus2D(12, 12, gen.Weights{Min: 1, Max: 3}, 2)
 	want := seq.Dijkstra(n, edges, 0)
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 1})
+	u := am.New(2, am.WithThreads(1))
 	d := distgraph.NewBlockDist(n, 2)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
 	s := NewSSSP(eng)
 	s.UseDelta(u, 1)
-	u.Run(func(r *am.Rank) { s.Run(r, 0) })
+	if err := u.Run(func(r *am.Rank) { s.Run(r, 0) }); err != nil {
+		t.Fatal(err)
+	}
 	checkDist(t, "dial", s.Dist.Gather(), want)
 	maxFinite := int64(0)
 	for _, dv := range want {

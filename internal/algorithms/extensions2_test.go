@@ -44,12 +44,14 @@ func TestPageRankPushMatchesReference(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{}, 61)
 	const iters = 20
 	want := seqPageRank(n, edges, 0.85, iters)
-	for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{})
+	for _, cfg := range []shape{{1, 0}, {4, 2}} {
+		u, eng, _ := newEngine(n, edges, distgraph.Options{}, cfg.ranks, am.WithThreads(cfg.threads))
 		pr := NewPageRank(eng, PageRankPush)
 		pr.MaxIters = iters
 		pr.Tolerance = 0 // run all iterations like the reference
-		u.Run(func(r *am.Rank) { pr.Run(r) })
+		if err := u.Run(func(r *am.Rank) { pr.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		got := pr.Rank.Gather()
 		for v := range want {
 			gf := float64(got[v]) / float64(PRScale)
@@ -64,11 +66,13 @@ func TestPageRankPullMatchesPush(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{}, 62)
 	const iters = 15
 	run := func(mode PageRankMode, gopts distgraph.Options) []int64 {
-		u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, gopts)
+		u, eng, _ := newEngine(n, edges, gopts, 3, am.WithThreads(1))
 		pr := NewPageRank(eng, mode)
 		pr.MaxIters = iters
 		pr.Tolerance = 0
-		u.Run(func(r *am.Rank) { pr.Run(r) })
+		if err := u.Run(func(r *am.Rank) { pr.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		return pr.Rank.Gather()
 	}
 	push := run(PageRankPush, distgraph.Options{})
@@ -84,7 +88,7 @@ func TestPageRankPullMatchesPush(t *testing.T) {
 // pull is a two-hop gather over in-edges.
 func TestPageRankPlanShapes(t *testing.T) {
 	n, edges := gen.Torus2D(4, 4, gen.Weights{}, 0)
-	_, eng, _ := newEngine(am.Config{Ranks: 1}, n, edges, distgraph.Options{Bidirectional: true})
+	_, eng, _ := newEngine(n, edges, distgraph.Options{Bidirectional: true}, 1)
 	push := NewPageRank(eng, PageRankPush)
 	pull := NewPageRank(eng, PageRankPull)
 	pc := push.Action.PlanInfo().Conds[0]
@@ -136,10 +140,12 @@ func TestKCoreMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(8, 6, gen.Weights{}, 71)
 	for _, k := range []int64{2, 4, 8} {
 		want := seqKCore(n, edges, k)
-		for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-			u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{Symmetrize: true})
+		for _, cfg := range []shape{{1, 0}, {4, 2}} {
+			u, eng, _ := newEngine(n, edges, distgraph.Options{Symmetrize: true}, cfg.ranks, am.WithThreads(cfg.threads))
 			kc := NewKCore(eng, k)
-			u.Run(func(r *am.Rank) { kc.Run(r) })
+			if err := u.Run(func(r *am.Rank) { kc.Run(r) }); err != nil {
+				t.Fatal(err)
+			}
 			got := kc.Alive.Gather()
 			for v := range want {
 				if (got[v] == 1) != want[v] {
@@ -155,9 +161,11 @@ func TestKCoreChainedWorkHooks(t *testing.T) {
 	// check->notify->check work items.
 	n := 32
 	edges := gen.Path(n, gen.Weights{}, 0)
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n, edges, distgraph.Options{Symmetrize: true})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{Symmetrize: true}, 2, am.WithThreads(1))
 	kc := NewKCore(eng, 2)
-	u.Run(func(r *am.Rank) { kc.Run(r) })
+	if err := u.Run(func(r *am.Rank) { kc.Run(r) }); err != nil {
+		t.Fatal(err)
+	}
 	for v, a := range kc.Alive.Gather() {
 		if a != 0 {
 			t.Fatalf("alive[%d]=%d on a path (no 2-core)", v, a)
@@ -168,9 +176,11 @@ func TestKCoreChainedWorkHooks(t *testing.T) {
 	}
 	// A cycle IS its own 2-core: nothing peels.
 	n2, edges2 := gen.Components([]int{16}, 0)
-	u2, eng2, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 1}, n2, edges2, distgraph.Options{Symmetrize: true})
+	u2, eng2, _ := newEngine(n2, edges2, distgraph.Options{Symmetrize: true}, 2, am.WithThreads(1))
 	kc2 := NewKCore(eng2, 2)
-	u2.Run(func(r *am.Rank) { kc2.Run(r) })
+	if err := u2.Run(func(r *am.Rank) { kc2.Run(r) }); err != nil {
+		t.Fatal(err)
+	}
 	for v, a := range kc2.Alive.Gather() {
 		if a != 1 {
 			t.Fatalf("cycle vertex %d peeled from its own 2-core", v)
@@ -185,10 +195,12 @@ func TestBFSTreeValid(t *testing.T) {
 	for v := range depths {
 		reachable[v] = depths[v] != seq.Inf
 	}
-	for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{})
+	for _, cfg := range []shape{{1, 0}, {4, 2}} {
+		u, eng, _ := newEngine(n, edges, distgraph.Options{}, cfg.ranks, am.WithThreads(cfg.threads))
 		b := NewBFSTree(eng)
-		u.Run(func(r *am.Rank) { b.Run(r, 0) })
+		if err := u.Run(func(r *am.Rank) { b.Run(r, 0) }); err != nil {
+			t.Fatal(err)
+		}
 		if err := ValidateTree(n, edges, 0, b.Parent.Gather(), reachable); err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}

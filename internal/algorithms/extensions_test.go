@@ -15,10 +15,12 @@ func TestSSSPLightHeavy(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, 101)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, delta := range []int64{10, 50, 1000} {
-		u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 2}, n, edges, distgraph.Options{})
+		u, eng, _ := newEngine(n, edges, distgraph.Options{}, 3, am.WithThreads(2))
 		s := NewSSSP(eng)
 		s.UseDeltaLightHeavy(u, delta)
-		u.Run(func(r *am.Rank) { s.Run(r, 0) })
+		if err := u.Run(func(r *am.Rank) { s.Run(r, 0) }); err != nil {
+			t.Fatal(err)
+		}
 		checkDist(t, "light-heavy", s.Dist.Gather(), want)
 	}
 }
@@ -28,7 +30,7 @@ func TestSSSPLightHeavy(t *testing.T) {
 // shape — so heavy edges cost no messages during the light phase and light
 // relaxations stay lock-free.
 func TestLightHeavyEarlyExitPlan(t *testing.T) {
-	_, eng, _ := newEngine(am.Config{Ranks: 1}, 4, gen.Path(4, gen.Weights{Min: 1, Max: 9}, 0), distgraph.Options{})
+	_, eng, _ := newEngine(4, gen.Path(4, gen.Weights{Min: 1, Max: 9}, 0), distgraph.Options{}, 1)
 	bound, err := eng.Bind(SSSPLightHeavyPattern(50), pattern.Bindings{
 		"dist":   pmap.NewVertexWord(eng.Graph().Dist(), pattern.Inf),
 		"weight": pmap.WeightMap(eng.Graph()),
@@ -56,7 +58,7 @@ func TestEarlyExitSavesMessages(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 100}, 17)
 	counts := map[bool]int64{}
 	for _, ee := range []bool{true, false} {
-		u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1})
+		u := am.New(4, am.WithThreads(1))
 		d := distgraph.NewBlockDist(n, 4)
 		g := distgraph.Build(d, edges, distgraph.Options{})
 		popts := pattern.DefaultPlanOptions()
@@ -80,14 +82,16 @@ func TestEarlyExitSavesMessages(t *testing.T) {
 		if got := act.PlanInfo().Conds[0].EarlyExit; got != ee {
 			t.Fatalf("EarlyExit plan flag = %v, want %v", got, ee)
 		}
-		u.Run(func(r *am.Rank) {
+		if err := u.Run(func(r *am.Rank) {
 			r.Epoch(func(ep *am.Epoch) {
 				for _, v := range LocalVertices(g, r) {
 					act.Invoke(r, v)
 				}
 			})
-		})
-		counts[ee] = u.Stats.MsgsSent()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		counts[ee] = u.Stats.Snapshot().MsgsSent
 		// Correctness: marks identical in both modes.
 		want := map[distgraph.Vertex]bool{}
 		for _, e := range edges {
@@ -116,10 +120,12 @@ func TestDegreeCount(t *testing.T) {
 	for _, e := range edges {
 		want[e.Dst]++
 	}
-	for _, cfg := range []am.Config{{Ranks: 1, ThreadsPerRank: 0}, {Ranks: 4, ThreadsPerRank: 2}} {
-		u, eng, _ := newEngine(cfg, n, edges, distgraph.Options{})
+	for _, cfg := range []shape{{1, 0}, {4, 2}} {
+		u, eng, _ := newEngine(n, edges, distgraph.Options{}, cfg.ranks, am.WithThreads(cfg.threads))
 		dc := NewDegreeCount(eng)
-		u.Run(func(r *am.Rank) { dc.Run(r) })
+		if err := u.Run(func(r *am.Rank) { dc.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		got := dc.InDeg.Gather()
 		for v := range want {
 			if got[v] != want[v] {

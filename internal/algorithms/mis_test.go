@@ -56,13 +56,15 @@ func TestMISCorrect(t *testing.T) {
 				clean = append(clean, e)
 			}
 		}
-		for _, cfg := range []am.Config{
-			{Ranks: 1, ThreadsPerRank: 0},
-			{Ranks: 4, ThreadsPerRank: 2},
+		for _, cfg := range []shape{
+			{1, 0},
+			{4, 2},
 		} {
-			u, eng, _ := newEngine(cfg, n, clean, distgraph.Options{Symmetrize: true})
+			u, eng, _ := newEngine(n, clean, distgraph.Options{Symmetrize: true}, cfg.ranks, am.WithThreads(cfg.threads))
 			m := NewMIS(eng)
-			u.Run(func(r *am.Rank) { m.Run(r) })
+			if err := u.Run(func(r *am.Rank) { m.Run(r) }); err != nil {
+				t.Fatal(err)
+			}
 			checkMIS(t, "er", m.State.Gather(), n, clean)
 		}
 	}
@@ -71,9 +73,11 @@ func TestMISCorrect(t *testing.T) {
 func TestMISDeterministic(t *testing.T) {
 	n, edges := gen.Torus2D(8, 8, gen.Weights{}, 0)
 	run := func(ranks int) []int64 {
-		u, eng, _ := newEngine(am.Config{Ranks: ranks, ThreadsPerRank: 2}, n, edges, distgraph.Options{Symmetrize: true})
+		u, eng, _ := newEngine(n, edges, distgraph.Options{Symmetrize: true}, ranks, am.WithThreads(2))
 		m := NewMIS(eng)
-		u.Run(func(r *am.Rank) { m.Run(r) })
+		if err := u.Run(func(r *am.Rank) { m.Run(r) }); err != nil {
+			t.Fatal(err)
+		}
 		return m.State.Gather()
 	}
 	a, b := run(1), run(4)
@@ -92,9 +96,11 @@ func TestMISRoundsLogarithmic(t *testing.T) {
 			clean = append(clean, e)
 		}
 	}
-	u, eng, _ := newEngine(am.Config{Ranks: 2, ThreadsPerRank: 2}, n, clean, distgraph.Options{Symmetrize: true})
+	u, eng, _ := newEngine(n, clean, distgraph.Options{Symmetrize: true}, 2, am.WithThreads(2))
 	m := NewMIS(eng)
-	u.Run(func(r *am.Rank) { m.Run(r) })
+	if err := u.Run(func(r *am.Rank) { m.Run(r) }); err != nil {
+		t.Fatal(err)
+	}
 	checkMIS(t, "rmat", m.State.Gather(), n, clean)
 	if m.Rounds > 20 {
 		t.Fatalf("MIS took %d rounds on 1024 vertices", m.Rounds)
@@ -106,12 +112,14 @@ func TestBellmanFordRounds(t *testing.T) {
 	want := seq.Dijkstra(n, edges, 0)
 	wantDist, seqPasses := seq.BellmanFord(n, edges, 0)
 	_ = wantDist
-	u, eng, _ := newEngine(am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, distgraph.Options{})
+	u, eng, _ := newEngine(n, edges, distgraph.Options{}, 3, am.WithThreads(1))
 	s := NewSSSP(eng)
 	var rounds [3]int
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		rounds[r.ID()] = s.RunBellmanFordRounds(r, 0)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	checkDist(t, "bellman-ford", s.Dist.Gather(), want)
 	// All ranks agree on the round count; in-round propagation can only
 	// reduce it below the sequential pass count.

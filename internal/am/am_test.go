@@ -6,44 +6,59 @@ import (
 	"testing"
 )
 
-// configs exercised by the matrix tests.
-func testConfigs() []Config {
-	return []Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 1, ThreadsPerRank: 2},
-		{Ranks: 2, ThreadsPerRank: 1},
-		{Ranks: 4, ThreadsPerRank: 2},
-		{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 1},
-		{Ranks: 4, ThreadsPerRank: 2, Detector: DetectorFourCounter},
-		{Ranks: 2, ThreadsPerRank: 0, Detector: DetectorFourCounter},
+// testConfig is one universe shape exercised by the matrix tests.
+type testConfig struct {
+	ranks, threads, coalesce int
+	det                      DetectorKind
+}
+
+func testConfigs() []testConfig {
+	return []testConfig{
+		{ranks: 1, threads: 0},
+		{ranks: 1, threads: 2},
+		{ranks: 2, threads: 1},
+		{ranks: 4, threads: 2},
+		{ranks: 3, threads: 2, coalesce: 1},
+		{ranks: 4, threads: 2, det: DetectorFourCounter},
+		{ranks: 2, threads: 0, det: DetectorFourCounter},
 	}
+}
+
+func (c testConfig) String() string {
+	return c.det.String() + "/" + itoa(c.ranks) + "x" + itoa(c.threads)
+}
+
+func (c testConfig) universe() *Universe {
+	return New(c.ranks, WithThreads(c.threads), WithCoalesce(c.coalesce), WithDetector(c.det))
 }
 
 func TestEpochDeliversAll(t *testing.T) {
 	for _, cfg := range testConfigs() {
 		cfg := cfg
-		t.Run(cfg.Detector.String()+"/"+itoa(cfg.Ranks)+"x"+itoa(cfg.ThreadsPerRank), func(t *testing.T) {
-			u := NewUniverse(cfg)
+		t.Run(cfg.String(), func(t *testing.T) {
+			u := cfg.universe()
 			var handled atomic.Int64
 			mt := Register(u, "ping", func(r *Rank, m int64) {
 				handled.Add(1)
 			})
 			const per = 500
-			u.Run(func(r *Rank) {
+			if err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					for i := 0; i < per; i++ {
 						mt.SendTo(r, (r.ID()+1)%r.N(), int64(i))
 					}
 				})
-			})
-			want := int64(per * cfg.Ranks)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(per * cfg.ranks)
 			if got := handled.Load(); got != want {
 				t.Fatalf("handled %d messages, want %d", got, want)
 			}
-			if got := u.Stats.MsgsSent(); got != want {
+			if got := u.Stats.Snapshot().MsgsSent; got != want {
 				t.Fatalf("MsgsSent = %d, want %d", got, want)
 			}
-			if got := u.Stats.HandlersRun(); got != want {
+			if got := u.Stats.Snapshot().HandlersRun; got != want {
 				t.Fatalf("HandlersRun = %d, want %d", got, want)
 			}
 		})
@@ -70,8 +85,8 @@ func itoa(n int) string {
 func TestHandlerChains(t *testing.T) {
 	for _, cfg := range testConfigs() {
 		cfg := cfg
-		t.Run(cfg.Detector.String()+"/"+itoa(cfg.Ranks)+"x"+itoa(cfg.ThreadsPerRank), func(t *testing.T) {
-			u := NewUniverse(cfg)
+		t.Run(cfg.String(), func(t *testing.T) {
+			u := cfg.universe()
 			var handled atomic.Int64
 			var mt *MsgType[int64]
 			mt = Register(u, "ttl", func(r *Rank, ttl int64) {
@@ -81,15 +96,17 @@ func TestHandlerChains(t *testing.T) {
 				}
 			})
 			const ttl0 = 50
-			u.Run(func(r *Rank) {
+			if err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					mt.SendTo(r, 0, int64(ttl0))
 				})
 				// The epoch guarantee: by now every TTL step ran.
-				if got := handled.Load(); got != int64(cfg.Ranks*(ttl0+1)) {
-					t.Errorf("rank %d after epoch: handled=%d want %d", r.ID(), got, cfg.Ranks*(ttl0+1))
+				if got := handled.Load(); got != int64(cfg.ranks*(ttl0+1)) {
+					t.Errorf("rank %d after epoch: handled=%d want %d", r.ID(), got, cfg.ranks*(ttl0+1))
 				}
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -97,7 +114,7 @@ func TestHandlerChains(t *testing.T) {
 // TestHandlerFanout: each handled message fans out to two more until depth
 // exhausts; total must be exactly 2^(d+1)-1 per root.
 func TestHandlerFanout(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 2})
+	u := New(4, WithThreads(2))
 	var handled atomic.Int64
 	var mt *MsgType[int32]
 	mt = Register(u, "fan", func(r *Rank, depth int32) {
@@ -107,13 +124,15 @@ func TestHandlerFanout(t *testing.T) {
 			mt.SendTo(r, (r.ID()+2)%r.N(), depth-1)
 		}
 	})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			if r.ID() == 0 {
 				mt.SendTo(r, 0, 10)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	want := int64(1<<11 - 1)
 	if got := handled.Load(); got != want {
 		t.Fatalf("handled = %d, want %d", got, want)
@@ -121,11 +140,11 @@ func TestHandlerFanout(t *testing.T) {
 }
 
 func TestMultipleEpochs(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 1})
+	u := New(3, WithThreads(1))
 	var handled atomic.Int64
 	mt := Register(u, "m", func(r *Rank, m int32) { handled.Add(1) })
 	const epochs = 5
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		for e := 0; e < epochs; e++ {
 			before := handled.Load()
 			_ = before
@@ -138,27 +157,31 @@ func TestMultipleEpochs(t *testing.T) {
 				t.Fatalf("epoch %d: handled=%d want %d", e, got, 3*(e+1))
 			}
 		}
-	})
-	if got := u.Stats.Epochs(); got != epochs {
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := u.Stats.Snapshot().Epochs; got != epochs {
 		t.Fatalf("Epochs stat = %d, want %d", got, epochs)
 	}
 }
 
 func TestObjectAddressing(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 1})
+	u := New(4, WithThreads(1))
 	var wrongRank atomic.Int64
 	mt := Register(u, "obj", func(r *Rank, m int64) {
 		if int(m%4) != r.ID() {
 			wrongRank.Add(1)
 		}
 	}).WithAddresser(func(m int64) int { return int(m % 4) })
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := int64(0); i < 100; i++ {
 				mt.Send(r, i)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if wrongRank.Load() != 0 {
 		t.Fatalf("%d messages routed to the wrong rank", wrongRank.Load())
 	}
@@ -169,9 +192,9 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 	// With coalescing factor c, rank 0 sending n messages to rank 1 in
 	// one epoch ships ceil(n/c) envelopes.
 	for _, c := range []int{1, 16, 64, 1000, 4096} {
-		u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: c})
+		u := New(2, WithThreads(1), WithCoalesce(c))
 		mt := Register(u, "m", func(r *Rank, m int64) {})
-		u.Run(func(r *Rank) {
+		if err := u.Run(func(r *Rank) {
 			r.Epoch(func(ep *Epoch) {
 				if r.ID() == 0 {
 					for i := 0; i < n; i++ {
@@ -179,13 +202,15 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 					}
 				}
 			})
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		want := int64((n + c - 1) / c)
-		if got := u.Stats.Envelopes(); got != want {
+		if got := u.Stats.Snapshot().Envelopes; got != want {
 			t.Fatalf("coalesce=%d: envelopes=%d want %d", c, got, want)
 		}
 		wantBytes := int64(n*8) + want*envelopeHeaderBytes
-		if got := u.Stats.BytesSent(); got != wantBytes {
+		if got := u.Stats.Snapshot().BytesSent; got != wantBytes {
 			t.Fatalf("coalesce=%d: bytes=%d want %d", c, got, wantBytes)
 		}
 	}
@@ -195,7 +220,7 @@ func TestCoalescingEnvelopeCounts(t *testing.T) {
 // are combined, so at most one handler invocation per key per flush, and the
 // surviving payload is the minimum.
 func TestReduction(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
+	u := New(2, WithThreads(1), WithCoalesce(1<<20))
 	type upd struct {
 		Key uint64
 		Val int64
@@ -204,7 +229,7 @@ func TestReduction(t *testing.T) {
 	mt := Register(u, "upd", func(r *Rank, m upd) {
 		got.Add(1)
 		if m.Val != 0 {
-			_ = r.u.Stats.CtrlMsgs() // no-op; just exercise access
+			_ = r.u.Stats.Snapshot().CtrlMsgs // no-op; just exercise access
 		}
 	}).WithReduction(
 		func(m upd) uint64 { return m.Key },
@@ -216,7 +241,7 @@ func TestReduction(t *testing.T) {
 		},
 	)
 	const keys, dups = 50, 20
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			if r.ID() != 0 {
 				return
@@ -227,36 +252,40 @@ func TestReduction(t *testing.T) {
 				}
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if got.Load() != keys {
 		t.Fatalf("handlers ran %d times, want %d (one per key)", got.Load(), keys)
 	}
-	if s := u.Stats.MsgsSuppressed(); s != keys*(dups-1) {
+	if s := u.Stats.Snapshot().MsgsSuppressed; s != keys*(dups-1) {
 		t.Fatalf("suppressed=%d want %d", s, keys*(dups-1))
 	}
-	if s := u.Stats.MsgsSent(); s != keys {
+	if s := u.Stats.Snapshot().MsgsSent; s != keys {
 		t.Fatalf("sent=%d want %d", s, keys)
 	}
 }
 
 func TestSendOutsideEpochPanics(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0})
+	u := New(1, WithThreads(0))
 	mt := Register(u, "m", func(r *Rank, m int64) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic sending outside an epoch")
 			}
 		}()
 		mt.SendTo(r, 0, 1)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFlushMakesProgress(t *testing.T) {
 	// With zero handler threads, messages are only handled at Flush or
 	// epoch end — Flush must deliver everything buffered so far,
 	// including handler-generated follow-ups.
-	u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0})
+	u := New(1, WithThreads(0))
 	var handled atomic.Int64
 	var mt *MsgType[int64]
 	mt = Register(u, "m", func(r *Rank, ttl int64) {
@@ -265,7 +294,7 @@ func TestFlushMakesProgress(t *testing.T) {
 			mt.SendTo(r, 0, ttl-1)
 		}
 	})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			mt.SendTo(r, 0, 9)
 			if handled.Load() != 0 {
@@ -276,7 +305,9 @@ func TestFlushMakesProgress(t *testing.T) {
 				t.Errorf("after Flush: handled=%d want 10", got)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTryFinishWithAuxWork(t *testing.T) {
@@ -285,7 +316,7 @@ func TestTryFinishWithAuxWork(t *testing.T) {
 	// empty. The epoch must not terminate while deposited work remains.
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 1, Detector: det})
+			u := New(3, WithThreads(1), WithDetector(det))
 			type unit = struct{}
 			_ = unit{}
 			var deposited [3]atomic.Int64 // per-rank local "buckets"
@@ -299,7 +330,7 @@ func TestTryFinishWithAuxWork(t *testing.T) {
 				_ = gens
 			})
 			const gens = 5
-			u.Run(func(r *Rank) {
+			if err := u.Run(func(r *Rank) {
 				gen := int64(0)
 				r.Epoch(func(ep *Epoch) {
 					mt.SendTo(r, (r.ID()+1)%r.N(), gen)
@@ -319,7 +350,9 @@ func TestTryFinishWithAuxWork(t *testing.T) {
 						}
 					}
 				})
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			want := int64(3 * gens)
 			if got := consumed.Load(); got != want {
 				t.Fatalf("consumed=%d want %d", got, want)
@@ -329,24 +362,26 @@ func TestTryFinishWithAuxWork(t *testing.T) {
 }
 
 func TestFourCounterUsesControlMessages(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, Detector: DetectorFourCounter})
+	u := New(2, WithThreads(1), WithDetector(DetectorFourCounter))
 	mt := Register(u, "m", func(r *Rank, m int64) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			mt.SendTo(r, 1-r.ID(), 1)
 		})
-	})
-	if u.Stats.CtrlMsgs() == 0 || u.Stats.TDWaves() < 2 {
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if u.Stats.Snapshot().CtrlMsgs == 0 || u.Stats.Snapshot().TDWaves < 2 {
 		t.Fatalf("four-counter detector should exchange control messages over >=2 waves; ctrl=%d waves=%d",
-			u.Stats.CtrlMsgs(), u.Stats.TDWaves())
+			u.Stats.Snapshot().CtrlMsgs, u.Stats.Snapshot().TDWaves)
 	}
 }
 
 func TestTypeStats(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4})
+	u := New(2, WithThreads(1), WithCoalesce(4))
 	a := Register(u, "alpha", func(r *Rank, m int64) {})
 	b := Register(u, "beta", func(r *Rank, m int32) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			if r.ID() == 0 {
 				for i := 0; i < 30; i++ {
@@ -357,7 +392,9 @@ func TestTypeStats(t *testing.T) {
 				}
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	ts := u.TypeStats()
 	if len(ts) != 2 {
 		t.Fatalf("%d type stats", len(ts))
@@ -374,8 +411,8 @@ func TestTypeStats(t *testing.T) {
 }
 
 func TestBarrierAndCollectives(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 5, ThreadsPerRank: 0})
-	u.Run(func(r *Rank) {
+	u := New(5, WithThreads(0))
+	if err := u.Run(func(r *Rank) {
 		sum := r.AllReduceSum(int64(r.ID()))
 		if sum != 0+1+2+3+4 {
 			t.Errorf("sum=%d", sum)
@@ -400,23 +437,31 @@ func TestBarrierAndCollectives(t *testing.T) {
 				t.Errorf("gather[%d]=%d", i, v)
 			}
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunTwicePanics(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1})
-	u.Run(func(r *Rank) {})
+	u := New(1)
+	if err := u.Run(func(r *Rank) {}); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on second Run")
 		}
 	}()
-	u.Run(func(r *Rank) {})
+	if err := u.Run(func(r *Rank) {}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRegisterAfterRunPanics(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1})
-	u.Run(func(r *Rank) {})
+	u := New(1)
+	if err := u.Run(func(r *Rank) {}); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic registering after Run")
@@ -433,7 +478,7 @@ func TestRegisterAfterRunPanics(t *testing.T) {
 func TestDelayInjection(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 2, Detector: det, CoalesceSize: 4})
+			u := New(3, WithThreads(2), WithDetector(det), WithCoalesce(4))
 			var handled atomic.Int64
 			var mt *MsgType[uint64]
 			mt = Register(u, "slow", func(r *Rank, x uint64) {
@@ -452,9 +497,9 @@ func TestDelayInjection(t *testing.T) {
 					}
 				}
 			})
-			u.Run(func(r *Rank) {
+			if err := u.Run(func(r *Rank) {
 				for e := 0; e < 3; e++ {
-					before := u.Stats.MsgsSent()
+					before := u.Stats.Snapshot().MsgsSent
 					_ = before
 					r.Epoch(func(ep *Epoch) {
 						for i := 0; i < 40; i++ {
@@ -463,12 +508,14 @@ func TestDelayInjection(t *testing.T) {
 					})
 					// Epoch guarantee: all sent messages handled.
 					r.Barrier()
-					if got, want := handled.Load(), u.Stats.MsgsSent(); got != want {
+					if got, want := handled.Load(), u.Stats.Snapshot().MsgsSent; got != want {
 						t.Errorf("epoch %d: handled=%d sent=%d", e, got, want)
 					}
 					r.Barrier()
 				}
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -480,7 +527,7 @@ func TestDelayInjection(t *testing.T) {
 func TestStressDiffusion(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 3, Detector: det, CoalesceSize: 8})
+			u := New(4, WithThreads(3), WithDetector(det), WithCoalesce(8))
 			var handled atomic.Int64
 			var mt *MsgType[uint64]
 			mt = Register(u, "diff", func(r *Rank, x uint64) {
@@ -496,14 +543,16 @@ func TestStressDiffusion(t *testing.T) {
 					mt.SendTo(r, int(x>>16)%r.N(), x+1)
 				}
 			})
-			u.Run(func(r *Rank) {
+			if err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
 					for i := 0; i < 64; i++ {
 						mt.SendTo(r, i%r.N(), uint64(r.ID()*1000+i))
 					}
 				})
-			})
-			if got, want := handled.Load(), u.Stats.MsgsSent(); got != want {
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := handled.Load(), u.Stats.Snapshot().MsgsSent; got != want {
 				t.Fatalf("handled=%d sent=%d", got, want)
 			}
 		})

@@ -88,8 +88,11 @@ func BenchmarkCodecTransport(b *testing.B) {
 	run := func(b *testing.B, mk func(*MsgType[benchMsg])) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			u := NewUniverse(Config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32,
-				FaultPlan: &FaultPlan{Seed: 1}})
+			u := New(ranks,
+				WithThreads(2),
+				WithCoalesce(32),
+				WithFaultPlan(&FaultPlan{Seed: 1}),
+			)
 			var sum atomic.Int64
 			mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) })
 			if mk != nil {

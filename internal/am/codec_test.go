@@ -209,8 +209,11 @@ func TestDecodeErrorRoutesThroughRetransmit(t *testing.T) {
 	}
 	fc := &flakyCodec{Codec: inner}
 	fc.remaining.Store(3)
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		FaultPlan: &FaultPlan{Seed: 9}})
+	u := New(2,
+		WithThreads(1),
+		WithCoalesce(4),
+		WithFaultPlan(&FaultPlan{Seed: 9}),
+	)
 	var sum atomic.Int64
 	mt := Register(u, "flaky", func(r *Rank, m uint64) { sum.Add(int64(m)) }).WithCodec(fc)
 	const per = 40
@@ -227,10 +230,10 @@ func TestDecodeErrorRoutesThroughRetransmit(t *testing.T) {
 	if sum.Load() != want {
 		t.Fatalf("sum = %d, want %d (messages lost or duplicated)", sum.Load(), want)
 	}
-	if got := u.Stats.DecodeErrors(); got != 3 {
+	if got := u.Stats.Snapshot().DecodeErrors; got != 3 {
 		t.Fatalf("DecodeErrors = %d, want 3", got)
 	}
-	if u.Stats.Retransmits() == 0 {
+	if u.Stats.Snapshot().Retransmits == 0 {
 		t.Fatal("decode errors recovered without retransmits?")
 	}
 }
@@ -244,8 +247,11 @@ func TestWireTransportBothCodecsIdentical(t *testing.T) {
 		D int64
 	}
 	run := func(mk func(*MsgType[msg])) int64 {
-		u := NewUniverse(Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 8,
-			FaultPlan: &FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.1, Corrupt: 0.1}})
+		u := New(3,
+			WithThreads(2),
+			WithCoalesce(8),
+			WithFaultPlan(&FaultPlan{Seed: 5, Drop: 0.1, Dup: 0.1, Delay: 0.1, Corrupt: 0.1}),
+		)
 		var sum atomic.Int64
 		mt := Register(u, "m", func(r *Rank, m msg) { sum.Add(int64(m.V)*31 + m.D) })
 		mk(mt)

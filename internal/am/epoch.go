@@ -66,7 +66,7 @@ func (r *Rank) EpochThreadedCtx(qid int64, nthreads int, body func(tid int, ep *
 // it finishes handling, and unregistered when consumed; otherwise the epoch
 // can terminate while work remains.
 //
-// With Config.Recovery the epoch boundary entered here is also the recovery
+// With WithRecovery the epoch boundary entered here is also the recovery
 // point: registered checkpointers are snapshotted before the opening
 // barrier (the previous epoch ended acknowledged-quiet, so the state is a
 // consistent cut), and a rank fault inside the epoch rolls every rank back
@@ -136,7 +136,7 @@ func (r *Rank) EpochThreaded(nthreads int, body func(tid int, ep *Epoch)) {
 		kernel := r.Phase(obs.PhaseKernel)
 		r.runBodies(nthreads, body)
 		kernel.End() // the attempt's body+drain span: the epoch's kernel phase
-		r.Barrier() // every rank observed the same commit-or-abort outcome
+		r.Barrier()  // every rank observed the same commit-or-abort outcome
 		if u.epochState.Load() != epochAborting {
 			break
 		}

@@ -12,8 +12,8 @@ import (
 type hop struct{ TTL int64 }
 
 // chainUniverse registers the forwarding type on a fresh universe.
-func chainUniverse(cfg Config) (*Universe, *MsgType[hop]) {
-	u := NewUniverse(cfg)
+func chainUniverse(ranks int, opts ...Option) (*Universe, *MsgType[hop]) {
+	u := New(ranks, opts...)
 	var mt *MsgType[hop]
 	mt = Register(u, "hop", func(r *Rank, m hop) {
 		if m.TTL > 0 {
@@ -47,7 +47,7 @@ func runChains(t *testing.T, u *Universe, mt *MsgType[hop], epochs, chains int, 
 // walks parent links hop by hop.
 func TestLineageConnectedChains(t *testing.T) {
 	const ttl = 6
-	u, mt := chainUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 4, TraceCapacity: 1 << 16})
+	u, mt := chainUniverse(4, WithThreads(2), WithCoalesce(4), WithTraceCapacity(1<<16))
 	runChains(t, u, mt, 3, 4, ttl)
 
 	meta, recs := u.ExportTrace("chains")
@@ -127,10 +127,8 @@ func TestLineageConnectedChains(t *testing.T) {
 // transport: drops, duplicates, and delays force retransmissions, and the
 // lineage riding the outstanding table must come through intact.
 func TestLineageSurvivesRetransmit(t *testing.T) {
-	u, mt := chainUniverse(Config{
-		Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 2, TraceCapacity: 1 << 16,
-		FaultPlan: &FaultPlan{Seed: 7, Drop: 0.15, Dup: 0.1, Delay: 0.1},
-	})
+	u, mt := chainUniverse(3, WithThreads(0), WithCoalesce(2), WithTraceCapacity(1<<16),
+		WithFaultPlan(&FaultPlan{Seed: 7, Drop: 0.15, Dup: 0.1, Delay: 0.1}))
 	runChains(t, u, mt, 2, 3, 4)
 	if u.Stats.Snapshot().Retransmits == 0 {
 		t.Fatal("fault plan injected no retransmits; test is vacuous")
@@ -149,14 +147,11 @@ func TestLineageSurvivesRetransmit(t *testing.T) {
 // the committed replay's lineage must be connected, and its critical path
 // must land in the replay attempt, not the aborted one.
 func TestLineageRecoveryReplay(t *testing.T) {
-	u, mt := chainUniverse(Config{
-		Ranks: 3, ThreadsPerRank: 0, CoalesceSize: 2, TraceCapacity: 1 << 16,
-		Recovery: true,
-		FaultPlan: &FaultPlan{
+	u, mt := chainUniverse(3, WithThreads(0), WithCoalesce(2), WithTraceCapacity(1<<16), WithRecovery(),
+		WithFaultPlan(&FaultPlan{
 			Seed:    11,
 			Crashes: []Crash{{Rank: 1, Epoch: 1, AfterHandled: 3}},
-		},
-	})
+		}))
 	runChains(t, u, mt, 3, 3, 4)
 	if u.Stats.Snapshot().Recoveries == 0 {
 		t.Fatal("no recovery happened; test is vacuous")
@@ -177,10 +172,7 @@ func TestLineageRecoveryReplay(t *testing.T) {
 // TestLineageOff checks the off switch: a traced run with LineageOff records
 // no handler events and stamps no ids.
 func TestLineageOff(t *testing.T) {
-	u, mt := chainUniverse(Config{
-		Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		TraceCapacity: 1 << 14, Lineage: LineageOff,
-	})
+	u, mt := chainUniverse(2, WithThreads(1), WithCoalesce(4), WithTraceCapacity(1<<14), WithLineage(LineageOff))
 	runChains(t, u, mt, 1, 4, 3)
 	_, recs := u.ExportTrace("off")
 	for _, rec := range recs {
@@ -197,7 +189,7 @@ func TestLineageOff(t *testing.T) {
 // TestLineageOnWithoutTracing checks that forced stamping without a tracer
 // runs cleanly (ids propagate, nothing is recorded).
 func TestLineageOnWithoutTracing(t *testing.T) {
-	u, mt := chainUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, Lineage: LineageOn})
+	u, mt := chainUniverse(2, WithThreads(1), WithCoalesce(4), WithLineage(LineageOn))
 	runChains(t, u, mt, 1, 4, 3)
 	if evs := u.Trace(); evs != nil {
 		t.Fatalf("untraced run returned %d events", len(evs))
@@ -209,7 +201,7 @@ func TestLineageOnWithoutTracing(t *testing.T) {
 // absurd values fail loudly at construction.
 func TestTraceRingSize(t *testing.T) {
 	const per = 64
-	u, mt := chainUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1, TraceRingSize: per})
+	u, mt := chainUniverse(2, WithThreads(1), WithCoalesce(1), WithTraceRingSize(per))
 	runChains(t, u, mt, 2, 40, 3)
 	evs := u.Trace()
 	if len(evs) == 0 {
@@ -233,7 +225,7 @@ func TestTraceRingSize(t *testing.T) {
 					t.Fatalf("TraceRingSize %d: unclear panic %v", bad, p)
 				}
 			}()
-			NewUniverse(Config{Ranks: 1, TraceRingSize: bad})
+			New(1, WithTraceRingSize(bad))
 		}()
 	}
 }
@@ -243,7 +235,7 @@ func TestTraceRingSize(t *testing.T) {
 // non-decreasing, spans well-formed) and the reconstructor degrades to
 // reporting orphans instead of failing.
 func TestLineageRingOverflow(t *testing.T) {
-	u, mt := chainUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceRingSize: 48})
+	u, mt := chainUniverse(4, WithThreads(2), WithCoalesce(2), WithTraceRingSize(48))
 	runChains(t, u, mt, 3, 16, 5)
 	if u.TraceDropped() == 0 {
 		t.Fatal("ring did not wrap; overflow untested")

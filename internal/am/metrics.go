@@ -16,7 +16,7 @@ type GaugeSnapshot struct {
 
 // TypeMetrics extends TypeStats with the type's histograms: envelope batch
 // size (always collected) and handler latency in nanoseconds (zero unless
-// Config.Timing is set).
+// WithTiming is set).
 type TypeMetrics struct {
 	TypeStats
 	BatchSize      obs.HistSnapshot
@@ -34,17 +34,8 @@ type Metrics struct {
 	Transport string
 	// Counters is the aggregated counter snapshot (same as Stats.Snapshot).
 	Counters Snapshot
-	// Wire surfaces the wire-health counters from Counters at the top
-	// level: envelope decode failures plus the socket backends' link-state
-	// events (all zero on the in-process backend).
-	Wire WireHealth
-	// Departures surfaces the multi-process fleet-departure counters at the
-	// top level: peers that left gracefully (goodbye acknowledged) vs peers
-	// that died without one (heartbeat expiry, connection loss). Both zero
-	// in single-process runs.
-	Departures DepartureStats
 	// PerRank is the per-shard counter breakdown (one entry per rank, or a
-	// single entry under Config.UnshardedStats).
+	// single entry under WithUnshardedStats).
 	PerRank []Snapshot
 	// Types is the per-message-type traffic, in registration order.
 	Types []TypeMetrics
@@ -60,32 +51,13 @@ type Metrics struct {
 	// transport).
 	RelPending []GaugeSnapshot
 	// AckRTT is the ack round-trip histogram in nanoseconds (zero unless
-	// Config.Timing is set and the transport is reliable).
+	// WithTiming is set and the transport is reliable).
 	AckRTT obs.HistSnapshot
 	// Phases is the per-phase epoch duration breakdown aggregated over
 	// ranks (phase name -> histogram, durations in ns); nil unless
-	// Config.Timing is set. RankPhases is the same per rank.
+	// WithTiming is set. RankPhases is the same per rank.
 	Phases     map[string]obs.HistSnapshot
 	RankPhases []map[string]obs.HistSnapshot
-}
-
-// DepartureStats is the fleet-departure block of Metrics.
-type DepartureStats struct {
-	Clean int64
-	Crash int64
-}
-
-// WireHealth is the wire-facing health block of Metrics: what the link
-// layer detected (corruption, undecodable envelopes) and what the socket
-// backends did about connection failures (liveness expiries, reconnects,
-// requeued and dropped frames).
-type WireHealth struct {
-	CorruptionsDetected int64
-	DecodeErrors        int64
-	HeartbeatMisses     int64
-	Reconnects          int64
-	FramesRequeued      int64
-	FramesDropped       int64
 }
 
 // Metrics returns a full observability snapshot. Callable once Run has
@@ -96,18 +68,6 @@ func (u *Universe) Metrics() Metrics {
 		Transport: u.net.Name(),
 		Counters:  u.Stats.Snapshot(),
 		PerRank:   u.Stats.PerRank(),
-	}
-	m.Wire = WireHealth{
-		CorruptionsDetected: m.Counters.CorruptionsDetected,
-		DecodeErrors:        m.Counters.DecodeErrors,
-		HeartbeatMisses:     m.Counters.HeartbeatMisses,
-		Reconnects:          m.Counters.Reconnects,
-		FramesRequeued:      m.Counters.FramesRequeued,
-		FramesDropped:       m.Counters.FramesDropped,
-	}
-	m.Departures = DepartureStats{
-		Clean: m.Counters.CleanDepartures,
-		Crash: m.Counters.CrashDepartures,
 	}
 	m.InboxDepth = make([]GaugeSnapshot, len(u.ranks))
 	m.CoalesceBuffered = make([]int64, len(u.ranks))
@@ -146,7 +106,7 @@ func (u *Universe) Metrics() Metrics {
 // Telemetry returns this process's telemetry export — the unit a fleet
 // worker ships to its launcher over the control plane: the substrate
 // counters, the outstanding-retransmit gauge, and the per-phase histograms
-// (empty unless Config.Timing is set).
+// (empty unless WithTiming is set).
 func (u *Universe) Telemetry() obs.ProcessTelemetry {
 	t := obs.ProcessTelemetry{
 		Process:  "coordinator",
@@ -205,6 +165,7 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	// emitting them with the per-process families too (they appear once
 	// non-zero) would duplicate the family.
 	t := u.Telemetry()
+	clean, crash := t.Counters["clean_departures"], t.Counters["crash_departures"]
 	delete(t.Counters, "clean_departures")
 	delete(t.Counters, "crash_departures")
 	obs.WriteProcessTelemetry(om, []obs.ProcessTelemetry{t})
@@ -213,9 +174,9 @@ func (u *Universe) WriteOpenMetrics(w io.Writer) error {
 	// the signal ("no one has died") and the per-process families above only
 	// carry non-zero counters.
 	om.Family("declpat_clean_departures_total", "counter", "Fleet peers that departed gracefully (goodbye acknowledged).")
-	om.SampleInt("declpat_clean_departures_total", nil, m.Departures.Clean)
+	om.SampleInt("declpat_clean_departures_total", nil, clean)
 	om.Family("declpat_crash_departures_total", "counter", "Fleet peers that died without a goodbye (heartbeat expiry or connection loss).")
-	om.SampleInt("declpat_crash_departures_total", nil, m.Departures.Crash)
+	om.SampleInt("declpat_crash_departures_total", nil, crash)
 
 	om.Family("declpat_inbox_depth", "gauge", "Per-rank inbox queue depth.")
 	for i, g := range m.InboxDepth {

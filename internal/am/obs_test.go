@@ -14,7 +14,7 @@ import (
 // atomic-indexed ring made this a documented torn-read hazard; the per-rank
 // mutex rings make it race-free by construction. Run under -race in CI.
 func TestTraceConcurrentWithRecording(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 2, TraceCapacity: 512})
+	u := New(4, WithThreads(2), WithCoalesce(2), WithTraceCapacity(512))
 	mt := Register(u, "ping", func(r *Rank, m int64) {})
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
@@ -43,7 +43,7 @@ func TestTraceConcurrentWithRecording(t *testing.T) {
 			_ = u.TraceDropped()
 		}
 	}()
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		for e := 0; e < 4; e++ {
 			r.Epoch(func(ep *Epoch) {
 				for i := 0; i < 200; i++ {
@@ -52,21 +52,21 @@ func TestTraceConcurrentWithRecording(t *testing.T) {
 				ep.Flush()
 			})
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	close(stop)
 	reader.Wait()
 }
 
-// obsWorkload runs a deterministic (ThreadsPerRank 0) multi-epoch exchange
+// obsWorkload runs a deterministic (no handler threads) multi-epoch exchange
 // and returns the universe for counter comparison.
-func obsWorkload(t *testing.T, cfg Config) *Universe {
+func obsWorkload(t *testing.T, opts ...Option) *Universe {
 	t.Helper()
-	cfg.ThreadsPerRank = 0
-	cfg.CoalesceSize = 4
-	u := NewUniverse(cfg)
+	u := New(4, append(opts, WithThreads(0), WithCoalesce(4))...)
 	relax := Register(u, "relax", func(r *Rank, m int64) {})
 	probe := Register(u, "probe", func(r *Rank, m int32) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		for e := 0; e < 3; e++ {
 			r.Epoch(func(ep *Epoch) {
 				for i := 0; i < 50; i++ {
@@ -78,7 +78,9 @@ func obsWorkload(t *testing.T, cfg Config) *Universe {
 				ep.Flush()
 			})
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return u
 }
 
@@ -87,8 +89,8 @@ func obsWorkload(t *testing.T, cfg Config) *Universe {
 // counter — aggregate and per-type — to agree exactly: sharding changes where
 // counts land, never what is counted.
 func TestShardedMatchesUnsharded(t *testing.T) {
-	sharded := obsWorkload(t, Config{Ranks: 4})
-	unsharded := obsWorkload(t, Config{Ranks: 4, UnshardedStats: true})
+	sharded := obsWorkload(t)
+	unsharded := obsWorkload(t, WithUnshardedStats())
 	if s, us := sharded.Stats.Snapshot(), unsharded.Stats.Snapshot(); s != us {
 		t.Fatalf("sharded snapshot %+v\n!= unsharded %+v", s, us)
 	}
@@ -120,9 +122,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // type-name table resolves, epoch begin/end pairs fold into spans, and the
 // Chrome conversion is schema-valid.
 func TestExportTraceRoundTrip(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, TraceCapacity: 4096})
+	u := New(2, WithThreads(1), WithCoalesce(4), WithTraceCapacity(4096))
 	mt := Register(u, "relax", func(r *Rank, m int64) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		for e := 0; e < 2; e++ {
 			r.Epoch(func(ep *Epoch) {
 				for i := 0; i < 20; i++ {
@@ -131,7 +133,9 @@ func TestExportTraceRoundTrip(t *testing.T) {
 				ep.Flush()
 			})
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	meta, recs := u.ExportTrace("round-trip")
 	if meta.Ranks != 2 || len(meta.Types) != 1 || meta.Types[0] != "relax" {
 		t.Fatalf("meta = %+v", meta)
@@ -210,20 +214,20 @@ func TestExportTraceRoundTrip(t *testing.T) {
 // histogram counts tie out against the counters, gauges saw traffic, and
 // everything is quiet at the end.
 func TestMetricsSnapshot(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		Timing:    true,
-		FaultPlan: &FaultPlan{}, // full reliable protocol, no injected faults
-	})
+	u := New(2, WithThreads(1), WithCoalesce(4), WithTiming(),
+		WithFaultPlan(&FaultPlan{}), // full reliable protocol, no injected faults
+	)
 	mt := Register(u, "relax", func(r *Rank, m int64) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := 0; i < 100; i++ {
 				mt.SendTo(r, 1-r.ID(), int64(i))
 			}
 			ep.Flush()
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	m := u.Metrics()
 	if m.Counters != u.Stats.Snapshot() {
 		t.Fatal("Metrics.Counters disagrees with Stats.Snapshot")

@@ -1,7 +1,6 @@
 package am
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -23,35 +22,11 @@ func TestNewWithOptions(t *testing.T) {
 	if u.Ranks() != 3 {
 		t.Fatalf("ranks = %d, want 3", u.Ranks())
 	}
-	c := u.Config()
+	c := u.cfg
 	if c.ThreadsPerRank != 2 || c.CoalesceSize != 16 || c.Detector != DetectorFourCounter ||
 		c.FaultPlan != fp || !c.Recovery || c.MaxRecoveries != 3 ||
 		c.TraceCapacity != 1024 || c.Lineage != LineageOn || !c.Timing ||
 		c.Watchdog != 30*time.Second {
 		t.Fatalf("options not applied: %+v", c)
-	}
-}
-
-// TestNewMatchesNewUniverse runs the same tiny workload through both
-// constructors and checks the option form behaves like the struct form.
-func TestNewMatchesNewUniverse(t *testing.T) {
-	run := func(u *Universe) int64 {
-		var n atomic.Int64
-		mt := Register(u, "ping", func(r *Rank, m int64) { n.Add(m) })
-		if err := u.Run(func(r *Rank) {
-			r.Epoch(func(ep *Epoch) {
-				for i := int64(1); i <= 10; i++ {
-					mt.SendTo(r, (r.ID()+1)%u.Ranks(), i)
-				}
-			})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return n.Load()
-	}
-	a := run(New(2, WithThreads(1), WithCoalesce(4)))
-	b := run(NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4}))
-	if a != b || a != 2*55 {
-		t.Fatalf("New=%d NewUniverse=%d, want both %d", a, b, 2*55)
 	}
 }

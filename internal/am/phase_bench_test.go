@@ -14,11 +14,11 @@ import (
 // every kernel started paying the allocator.
 func BenchmarkPhaseScope(b *testing.B) {
 	for _, cfg := range []struct {
-		name   string
-		timing bool
-	}{{"off", false}, {"on", true}} {
+		name string
+		opts []Option
+	}{{"off", nil}, {"on", []Option{WithTiming()}}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			u := NewUniverse(Config{Ranks: 1, Timing: cfg.timing})
+			u := New(1, cfg.opts...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			err := u.Run(func(r *Rank) {

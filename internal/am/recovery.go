@@ -26,7 +26,7 @@ import (
 // an epoch commit while any envelope is unacknowledged, a mid-epoch fault
 // can only delay the epoch, never corrupt a committed one.
 //
-// Recovery (Config.Recovery) aborts the damaged epoch: the shared epoch
+// Recovery (WithRecovery) aborts the damaged epoch: the shared epoch
 // state moves running→aborting, every body participant unwinds at its next
 // Flush/TryFinish, in-flight handlers retire, and then — under barriers —
 // every rank scrubs its transport state (inbox, coalescing buffers, link
@@ -38,7 +38,7 @@ import (
 
 // Checkpointer is per-rank state that participates in epoch-granular
 // checkpoint/restart. Register implementations with
-// Universe.RegisterCheckpointer before Run; when Config.Recovery is set the
+// Universe.RegisterCheckpointer before Run; when WithRecovery is set the
 // universe calls SnapshotRank on every rank at each epoch boundary and
 // RestoreRank when an epoch is rolled back.
 //
@@ -101,7 +101,7 @@ const (
 	// was exceeded; the destination rank is suspected dead.
 	FaultLinkDead
 	// FaultWatchdog: the stuck-epoch watchdog saw no progress for
-	// Config.Watchdog. Watchdog faults are fatal — replaying a wedged
+	// WithWatchdog. Watchdog faults are fatal — replaying a wedged
 	// epoch would wedge again — and always fail the run.
 	FaultWatchdog
 	// FaultTransport: a socket transport exhausted a link's reconnect
@@ -422,7 +422,7 @@ func (r *Rank) recoverEpoch() {
 		case fault.Kind == FaultWatchdog:
 			u.failRun(fmt.Errorf("am: stuck-epoch watchdog: %w", fault))
 		case !u.cfg.Recovery:
-			u.failRun(fmt.Errorf("am: unrecoverable rank fault (Config.Recovery disabled): %w", fault))
+			u.failRun(fmt.Errorf("am: unrecoverable rank fault (WithRecovery disabled): %w", fault))
 		case u.recoveries > u.maxRecoveries():
 			u.failRun(fmt.Errorf("am: epoch %d still failing after %d recoveries: %w",
 				u.epochSeq.Load(), u.recoveries-1, fault))
@@ -484,7 +484,7 @@ func (u *Universe) touchProgress() {
 }
 
 // checkWatchdog fires the stuck-epoch watchdog when no progress has been
-// observed for Config.Watchdog. The watchdog converts a silent hang — a
+// observed for WithWatchdog. The watchdog converts a silent hang — a
 // body spinning on TryFinish over deferred work nobody consumes, a lost
 // wakeup — into a diagnostic failure: the raised fault is fatal (replay
 // would wedge again) and carries a dump of the detector counters and the
@@ -534,7 +534,7 @@ func (u *Universe) diagnose() string {
 			fmt.Fprintf(&b, "    %s\n", ev)
 		}
 	} else {
-		b.WriteString("  trace: disabled (set Config.TraceCapacity for event history)\n")
+		b.WriteString("  trace: disabled (set WithTraceCapacity for event history)\n")
 	}
 	return b.String()
 }

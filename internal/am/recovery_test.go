@@ -58,10 +58,12 @@ func ringWant(ranks, per int) int64 { return int64(ranks) * int64(per) * int64(p
 func TestHandlerPanicRecovered(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{
-				Ranks: 3, ThreadsPerRank: 2, Detector: det,
-				FaultPlan: &FaultPlan{Seed: 42}, Recovery: true,
-			})
+			u := New(3,
+				WithThreads(2),
+				WithDetector(det),
+				WithFaultPlan(&FaultPlan{Seed: 42}),
+				WithRecovery(),
+			)
 			var armed atomic.Bool
 			armed.Store(true)
 			var seen atomic.Int64 // rank 1's two handler threads share it
@@ -93,10 +95,10 @@ func TestHandlerPanicRecovered(t *testing.T) {
 // but recovery off, a handler panic must surface as a descriptive Run error
 // — not a process abort.
 func TestHandlerPanicWithoutRecoveryFails(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks: 2, ThreadsPerRank: 1,
-		FaultPlan: &FaultPlan{Seed: 7},
-	})
+	u := New(2,
+		WithThreads(1),
+		WithFaultPlan(&FaultPlan{Seed: 7}),
+	)
 	var armed atomic.Bool
 	armed.Store(true)
 	err, _ := ringSum(u, 50, func(r *Rank, m int64) {
@@ -110,8 +112,8 @@ func TestHandlerPanicWithoutRecoveryFails(t *testing.T) {
 	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "Recovery disabled") {
 		t.Fatalf("error lacks panic context: %v", err)
 	}
-	if u.Stats.HandlerPanics() != 1 {
-		t.Fatalf("HandlerPanics = %d, want 1", u.Stats.HandlerPanics())
+	if u.Stats.Snapshot().HandlerPanics != 1 {
+		t.Fatalf("HandlerPanics = %d, want 1", u.Stats.Snapshot().HandlerPanics)
 	}
 }
 
@@ -124,11 +126,11 @@ func TestCrashRecovered(t *testing.T) {
 	}
 	for name, crashes := range cases {
 		t.Run(name, func(t *testing.T) {
-			u := NewUniverse(Config{
-				Ranks: 3, ThreadsPerRank: 2,
-				FaultPlan: &FaultPlan{Seed: 11, Crashes: crashes},
-				Recovery:  true,
-			})
+			u := New(3,
+				WithThreads(2),
+				WithFaultPlan(&FaultPlan{Seed: 11, Crashes: crashes}),
+				WithRecovery(),
+			)
 			err, got := ringSum(u, 200, nil)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -147,10 +149,9 @@ func TestCrashRecovered(t *testing.T) {
 // TestCrashWithoutRecoveryFails: an injected crash with recovery disabled
 // must fail the run with a descriptive error.
 func TestCrashWithoutRecoveryFails(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks:     2,
-		FaultPlan: &FaultPlan{Seed: 3, Crashes: []Crash{{Rank: 1, Epoch: 0}}},
-	})
+	u := New(2,
+		WithFaultPlan(&FaultPlan{Seed: 3, Crashes: []Crash{{Rank: 1, Epoch: 0}}}),
+	)
 	err, _ := ringSum(u, 50, nil)
 	if err == nil {
 		t.Fatal("Run returned nil after an unrecoverable crash")
@@ -164,13 +165,13 @@ func TestCrashWithoutRecoveryFails(t *testing.T) {
 // ceiling into a structured error — the panic this path used to be — when
 // recovery is off.
 func TestLinkDeadWithoutRecoveryFails(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks: 2, ThreadsPerRank: 1,
-		FaultPlan: &FaultPlan{
+	u := New(2,
+		WithThreads(1),
+		WithFaultPlan(&FaultPlan{
 			Seed: 5, RetransmitBase: 1, MaxAttempts: 3,
 			DeadLinks: []DeadLink{{Src: 0, Dest: 1, Epoch: 0}},
-		},
-	})
+		}),
+	)
 	err, _ := ringSum(u, 20, nil)
 	if err == nil {
 		t.Fatal("Run returned nil with a permanently dead link")
@@ -178,7 +179,7 @@ func TestLinkDeadWithoutRecoveryFails(t *testing.T) {
 	if !strings.Contains(err.Error(), "link-dead") && !strings.Contains(err.Error(), "dead after") {
 		t.Fatalf("error lacks link-death context: %v", err)
 	}
-	if u.Stats.LinkDeaths() == 0 {
+	if u.Stats.Snapshot().LinkDeaths == 0 {
 		t.Fatal("LinkDeaths = 0")
 	}
 }
@@ -186,14 +187,14 @@ func TestLinkDeadWithoutRecoveryFails(t *testing.T) {
 // TestLinkDeadRecovered: the same dead link with recovery on must heal the
 // link during rollback and complete exactly.
 func TestLinkDeadRecovered(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks: 2, ThreadsPerRank: 1,
-		FaultPlan: &FaultPlan{
+	u := New(2,
+		WithThreads(1),
+		WithFaultPlan(&FaultPlan{
 			Seed: 5, RetransmitBase: 1, MaxAttempts: 3,
 			DeadLinks: []DeadLink{{Src: 0, Dest: 1, Epoch: 0}},
-		},
-		Recovery: true,
-	})
+		}),
+		WithRecovery(),
+	)
 	err, got := ringSum(u, 20, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -201,9 +202,9 @@ func TestLinkDeadRecovered(t *testing.T) {
 	if want := ringWant(2, 20); got != want {
 		t.Fatalf("sum = %d after link-death recovery, want %d", got, want)
 	}
-	if u.Stats.LinkDeaths() == 0 || u.Stats.Recoveries() == 0 {
+	if u.Stats.Snapshot().LinkDeaths == 0 || u.Stats.Snapshot().Recoveries == 0 {
 		t.Fatalf("link death not exercised: deaths=%d recoveries=%d",
-			u.Stats.LinkDeaths(), u.Stats.Recoveries())
+			u.Stats.Snapshot().LinkDeaths, u.Stats.Snapshot().Recoveries)
 	}
 }
 
@@ -214,10 +215,12 @@ func TestLinkDeadRecovered(t *testing.T) {
 func TestWatchdogConvertsWedge(t *testing.T) {
 	for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 		t.Run(det.String(), func(t *testing.T) {
-			u := NewUniverse(Config{
-				Ranks: 2, ThreadsPerRank: 1, Detector: det,
-				Watchdog: 200 * time.Millisecond, TraceCapacity: 256,
-			})
+			u := New(2,
+				WithThreads(1),
+				WithDetector(det),
+				WithWatchdog(200*time.Millisecond),
+				WithTraceCapacity(256),
+			)
 			mt := Register(u, "noop", func(r *Rank, m int64) {})
 			err := u.Run(func(r *Rank) {
 				r.Epoch(func(ep *Epoch) {
@@ -241,8 +244,8 @@ func TestWatchdogConvertsWedge(t *testing.T) {
 			if !strings.Contains(msg, "diagnostic dump") || !strings.Contains(msg, "trace tail") {
 				t.Fatalf("error lacks diagnostic dump: %v", err)
 			}
-			if u.Stats.WatchdogFires() != 1 {
-				t.Fatalf("WatchdogFires = %d, want 1", u.Stats.WatchdogFires())
+			if u.Stats.Snapshot().WatchdogFires != 1 {
+				t.Fatalf("WatchdogFires = %d, want 1", u.Stats.Snapshot().WatchdogFires)
 			}
 		})
 	}
@@ -252,10 +255,12 @@ func TestWatchdogConvertsWedge(t *testing.T) {
 // every replay must fail the run once the per-epoch recovery budget is
 // spent, not loop forever.
 func TestRecoveryBudgetExhausted(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks: 2, ThreadsPerRank: 1,
-		FaultPlan: &FaultPlan{Seed: 9}, Recovery: true, MaxRecoveries: 2,
-	})
+	u := New(2,
+		WithThreads(1),
+		WithFaultPlan(&FaultPlan{Seed: 9}),
+		WithRecovery(),
+		WithMaxRecoveries(2),
+	)
 	err, _ := ringSum(u, 50, func(r *Rank, m int64) {
 		if r.ID() == 1 && m == 25 {
 			panic("deterministic handler bug")
@@ -267,7 +272,7 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	if !strings.Contains(err.Error(), "still failing after 2 recoveries") {
 		t.Fatalf("error lacks budget context: %v", err)
 	}
-	if got := u.Stats.Recoveries(); got != 2 {
+	if got := u.Stats.Snapshot().Recoveries; got != 2 {
 		t.Fatalf("Recoveries = %d, want 2", got)
 	}
 }
@@ -275,11 +280,11 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 // TestRecoveryMultiEpoch runs several epochs with a crash in a middle one:
 // committed epochs must be untouched and the total exact.
 func TestRecoveryMultiEpoch(t *testing.T) {
-	u := NewUniverse(Config{
-		Ranks: 3, ThreadsPerRank: 2,
-		FaultPlan: &FaultPlan{Seed: 21, Crashes: []Crash{{Rank: 2, Epoch: 1, AfterHandled: 5}}},
-		Recovery:  true,
-	})
+	u := New(3,
+		WithThreads(2),
+		WithFaultPlan(&FaultPlan{Seed: 21, Crashes: []Crash{{Rank: 2, Epoch: 1, AfterHandled: 5}}}),
+		WithRecovery(),
+	)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m int64) { ck.add(r.ID(), m) })
@@ -299,7 +304,7 @@ func TestRecoveryMultiEpoch(t *testing.T) {
 	if want := int64(epochs) * ringWant(3, per); ck.sum() != want {
 		t.Fatalf("sum = %d, want %d", ck.sum(), want)
 	}
-	if u.Stats.RankCrashes() != 1 {
-		t.Fatalf("RankCrashes = %d, want 1", u.Stats.RankCrashes())
+	if u.Stats.Snapshot().RankCrashes != 1 {
+		t.Fatalf("RankCrashes = %d, want 1", u.Stats.Snapshot().RankCrashes)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"declpat/internal/obs"
 )
 
-// Reliable-delivery layer (active when Config.FaultPlan != nil).
+// Reliable-delivery layer (active when a fault plan is set, see WithFaultPlan).
 //
 // Sender side: each (dest, type) link assigns consecutive sequence numbers
 // to shipped envelopes and keeps every envelope in an outstanding table
@@ -50,7 +50,7 @@ type outEnvelope struct {
 	lin      []uint64 // causal lineage per message, preserved across retransmits
 	attempts int      // transmissions performed so far
 	due      uint64
-	sentNs   int64 // first-transmission timestamp (Config.Timing ack RTT)
+	sentNs   int64 // first-transmission timestamp (WithTiming ack RTT)
 	// budgetNs is when the current attempt budget started: the first
 	// transmission, or the last reconnect (requeueOutstanding). The link is
 	// declared dead only once both the attempt ceiling and linkDeadAfterNs

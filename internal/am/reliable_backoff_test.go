@@ -60,7 +60,7 @@ func TestBackoffTicksJitterBounds(t *testing.T) {
 // envelope on the same link starts over at the base timeout — deep backoff
 // from one bad stretch never taxes later traffic.
 func TestBackoffResetsAfterAck(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, FaultPlan: &FaultPlan{RetransmitBase: 4}})
+	u := New(2, WithFaultPlan(&FaultPlan{RetransmitBase: 4}))
 	Register(u, "x", func(r *Rank, m int64) {})
 	rk := u.ranks[0]
 	rk.initReliability(1)

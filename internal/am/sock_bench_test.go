@@ -16,15 +16,15 @@ func BenchmarkTransport(b *testing.B) {
 		b.ReportAllocs()
 		var wireBytes int64
 		for i := 0; i < b.N; i++ {
-			cfg := Config{Ranks: ranks, ThreadsPerRank: 2, CoalesceSize: 32}
+			opts := []Option{WithThreads(2), WithCoalesce(32)}
 			if mkTransport != nil {
-				cfg.Transport = mkTransport()
+				opts = append(opts, WithTransport(mkTransport()))
 			} else {
 				// The channel floor still exercises the codec layer so the
 				// comparison isolates the socket hop, not the encoding.
-				cfg.FaultPlan = &FaultPlan{Seed: 1}
+				opts = append(opts, WithFaultPlan(&FaultPlan{Seed: 1}))
 			}
-			u := NewUniverse(cfg)
+			u := New(ranks, opts...)
 			var sum atomic.Int64
 			mt := Register(u, "bench", func(r *Rank, m benchMsg) { sum.Add(m.Vals[0]) }).WithWire()
 			if err := u.Run(func(r *Rank) {

@@ -41,13 +41,11 @@ func fastSockOptions(network string) SockOptions {
 }
 
 // runSockChatter runs the two-epoch forwarding workload from fault_test.go
-// over the given config (the chatter type registered with the fixed wire
-// codec, as the socket backend requires) and returns per-message handle
-// counts plus the finished universe.
-func runSockChatter(t *testing.T, cfg Config, perRank int) ([]int64, *Universe) {
+// on u (the chatter type registered with the fixed wire codec, as the
+// socket backend requires) and returns per-message handle counts.
+func runSockChatter(t *testing.T, u *Universe, perRank int) []int64 {
 	t.Helper()
-	u := NewUniverse(cfg)
-	n := cfg.Ranks
+	n := u.Ranks()
 	total := 2 * n * perRank
 	counts := make([]int64, total)
 	var mt *MsgType[chatterPayload]
@@ -71,7 +69,7 @@ func runSockChatter(t *testing.T, cfg Config, perRank int) ([]int64, *Universe) 
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return counts, u
+	return counts
 }
 
 // TestSockExactlyOnce proves the headline semantics claim of the transport
@@ -83,9 +81,9 @@ func TestSockExactlyOnce(t *testing.T) {
 	for _, network := range []string{"tcp", "unix"} {
 		for _, det := range []DetectorKind{DetectorAtomic, DetectorFourCounter} {
 			t.Run(fmt.Sprintf("%s/%s", network, det), func(t *testing.T) {
-				cfg := Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4, Detector: det,
-					Transport: SockTransport(fastSockOptions(network))}
-				counts, u := runSockChatter(t, cfg, 48)
+				u := New(3, WithThreads(2), WithCoalesce(4), WithDetector(det),
+					WithTransport(SockTransport(fastSockOptions(network))))
+				counts := runSockChatter(t, u, 48)
 				checkExactlyOnce(t, counts, 0)
 				m := u.Metrics()
 				want := "sock-tcp"
@@ -114,9 +112,8 @@ func TestSockDisconnectReconnect(t *testing.T) {
 		Disconnects: []SockDisconnect{{Src: 0, Dest: 1, AfterFrames: 3}},
 		Flaps:       []SockFlap{{Src: 1, Dest: 2, Period: 5, Count: 3}},
 	}
-	cfg := Config{Ranks: 3, ThreadsPerRank: 2, CoalesceSize: 4,
-		Transport: SockTransport(opt)}
-	counts, u := runSockChatter(t, cfg, 64)
+	u := New(3, WithThreads(2), WithCoalesce(4), WithTransport(SockTransport(opt)))
+	counts := runSockChatter(t, u, 64)
 	checkExactlyOnce(t, counts, 0)
 	s := u.Stats.Snapshot()
 	if s.Reconnects < 1 {
@@ -126,8 +123,8 @@ func TestSockDisconnectReconnect(t *testing.T) {
 		t.Fatalf("killed frames must be counted dropped, got %+v", s)
 	}
 	m := u.Metrics()
-	if m.Wire.Reconnects != s.Reconnects || m.Wire.FramesRequeued != s.FramesRequeued {
-		t.Fatalf("Metrics().Wire out of sync with counters: %+v vs %+v", m.Wire, s)
+	if m.Counters.Reconnects != s.Reconnects || m.Counters.FramesRequeued != s.FramesRequeued {
+		t.Fatalf("Metrics().Counters out of sync with Stats: %+v vs %+v", m.Counters, s)
 	}
 }
 
@@ -135,11 +132,10 @@ func TestSockDisconnectReconnect(t *testing.T) {
 // checkpointed per-rank accumulator (handler results survive epoch rollback
 // and replay exactly once). gate, when non-nil, is waited on by rank 0's
 // epoch body, holding the epoch open until the test has injected its
-// failure. Returns the universe and the accumulated total; the fault-free
-// expectation is ringWant(ranks, per).
-func sockRingSum(t *testing.T, cfg Config, per int, gate <-chan struct{}) (*Universe, int64) {
+// failure. Returns the accumulated total; the fault-free expectation is
+// ringWant(ranks, per).
+func sockRingSum(t *testing.T, u *Universe, per int, gate <-chan struct{}) int64 {
 	t.Helper()
-	u := NewUniverse(cfg)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {
@@ -162,7 +158,7 @@ func sockRingSum(t *testing.T, cfg Config, per int, gate <-chan struct{}) (*Univ
 		t.Logf("counters: %+v", u.Stats.Snapshot())
 		t.Fatalf("Run: %v", err)
 	}
-	return u, ck.sum()
+	return ck.sum()
 }
 
 // TestSockPartitionEscalatesToRecovery black-holes one direction with no
@@ -184,11 +180,10 @@ func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 	// worst-case reconnect cycle — liveness expiry on the receiver, a write
 	// error surfacing on the sender, capped backoff, dial, handshake,
 	// requeue — or the post-heal replay re-faults and burns recoveries.
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		Recovery: true, MaxRecoveries: 20,
-		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25},
-		Transport: SockTransport(opt)}
-	u, got := sockRingSum(t, cfg, 64, nil)
+	u := New(2, WithThreads(1), WithCoalesce(4), WithRecovery(), WithMaxRecoveries(20),
+		WithFaultPlan(&FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25}),
+		WithTransport(SockTransport(opt)))
+	got := sockRingSum(t, u, 64, nil)
 	if want := ringWant(2, 64); got != want {
 		t.Fatalf("ring sum = %d after partition recovery, want %d", got, want)
 	}
@@ -210,8 +205,7 @@ func TestSockPartitionEscalatesToRecovery(t *testing.T) {
 func TestSockHeartbeatsKeepQuietLinksAlive(t *testing.T) {
 	requireLoopback(t)
 	opt := fastSockOptions("tcp")
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, Transport: SockTransport(opt)}
-	u := NewUniverse(cfg)
+	u := New(2, WithThreads(1), WithTransport(SockTransport(opt)))
 	mt := Register(u, "ping", func(r *Rank, m chatterPayload) {}).WithWire()
 	err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
@@ -243,10 +237,9 @@ func TestSockReconnectBudgetEscalatesAndRecovers(t *testing.T) {
 	opt.ReconnectBudget = 3
 	opt.Faults = &SockFaultPlan{Disconnects: []SockDisconnect{{Src: 0, Dest: 1, AfterFrames: 1}}}
 	sock := filepath.Join(opt.Dir, "rank-1.sock")
-	cfg := Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4,
-		Recovery: true, MaxRecoveries: 1000,
-		FaultPlan: &FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25},
-		Transport: SockTransport(opt)}
+	opts := []Option{WithThreads(1), WithCoalesce(4), WithRecovery(), WithMaxRecoveries(1000),
+		WithFaultPlan(&FaultPlan{RetransmitBase: 2, MaxAttempts: 12, BackoffJitter: 0.25}),
+		WithTransport(SockTransport(opt))}
 
 	// Event-driven failure injection: every rank parks at the top of its
 	// epoch until rank 1's socket file is gone, so the disconnect (which
@@ -274,7 +267,7 @@ func TestSockReconnectBudgetEscalatesAndRecovers(t *testing.T) {
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 	wait:
-		for u.Stats.EpochAborts() == 0 {
+		for u.Stats.Snapshot().EpochAborts == 0 {
 			select {
 			case <-done:
 				break wait
@@ -286,7 +279,7 @@ func TestSockReconnectBudgetEscalatesAndRecovers(t *testing.T) {
 		}
 	}()
 
-	u = NewUniverse(cfg)
+	u = New(2, opts...)
 	ck := newSliceCkpt(u.Ranks())
 	u.RegisterCheckpointer(ck)
 	mt := Register(u, "val", func(r *Rank, m chatterPayload) {

@@ -7,12 +7,12 @@ import (
 )
 
 // TestPhaseTimersRecorded proves the tentpole's first layer: with
-// Config.Timing on, every epoch lands kernel and barrier spans in the
+// WithTiming on, every epoch lands kernel and barrier spans in the
 // per-phase histograms, broken down per rank; with it off the whole plane
 // is absent and Rank.Phase is inert.
 func TestPhaseTimersRecorded(t *testing.T) {
-	cfg := Config{Ranks: 3, ThreadsPerRank: 2, Timing: true}
-	u := NewUniverse(cfg)
+	const ranks = 3
+	u := New(ranks, WithThreads(2), WithTiming())
 	mt := Register(u, "ping", func(r *Rank, m chatterPayload) {})
 	err := u.Run(func(r *Rank) {
 		for epoch := 0; epoch < 2; epoch++ {
@@ -42,8 +42,8 @@ func TestPhaseTimersRecorded(t *testing.T) {
 		t.Fatalf("collect spans = %d, want 6", got)
 	}
 	rp := u.RankPhases()
-	if len(rp) != cfg.Ranks {
-		t.Fatalf("RankPhases len = %d, want %d", len(rp), cfg.Ranks)
+	if len(rp) != ranks {
+		t.Fatalf("RankPhases len = %d, want %d", len(rp), ranks)
 	}
 	var perRank int64
 	for _, m := range rp {
@@ -54,7 +54,7 @@ func TestPhaseTimersRecorded(t *testing.T) {
 	}
 
 	// Timing off: no histograms, and scopes are the zero value.
-	u2 := NewUniverse(Config{Ranks: 1})
+	u2 := New(1)
 	err = u2.Run(func(r *Rank) {
 		ph := r.Phase(obs.PhaseKernel)
 		if ph != (PhaseScope{}) {
@@ -73,7 +73,7 @@ func TestPhaseTimersRecorded(t *testing.T) {
 // TestCounterSeriesFeedsSampler wires the universe's counter series into an
 // obs.Sampler and checks the live-sampling layer sees real totals.
 func TestCounterSeriesFeedsSampler(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2})
+	u := New(2)
 	mt := Register(u, "c", func(r *Rank, m chatterPayload) {})
 	s := obs.NewSampler(8, u.CounterSeries)
 	s.Tick() // empty universe: zero baseline

@@ -5,10 +5,10 @@ import (
 )
 
 func TestTraceRecordsEpochsAndMessages(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 4, TraceCapacity: 4096})
+	u := New(2, WithThreads(1), WithCoalesce(4), WithTraceCapacity(4096))
 	mt := Register(u, "m", func(r *Rank, m int64) {})
 	const per = 20
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := 0; i < per; i++ {
 				mt.SendTo(r, 1-r.ID(), int64(i))
@@ -16,7 +16,9 @@ func TestTraceRecordsEpochsAndMessages(t *testing.T) {
 			ep.Flush()
 		})
 		r.Epoch(func(ep *Epoch) {})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	events := u.Trace()
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
@@ -43,8 +45,8 @@ func TestTraceRecordsEpochsAndMessages(t *testing.T) {
 	}
 	// Every shipped envelope is delivered; ship count equals the
 	// Envelopes stat.
-	if int64(counts[TraceShip]) != u.Stats.Envelopes() {
-		t.Fatalf("ship events %d != envelopes %d", counts[TraceShip], u.Stats.Envelopes())
+	if int64(counts[TraceShip]) != u.Stats.Snapshot().Envelopes {
+		t.Fatalf("ship events %d != envelopes %d", counts[TraceShip], u.Stats.Snapshot().Envelopes)
 	}
 	if counts[TraceDeliver] != counts[TraceShip] {
 		t.Fatalf("deliver %d != ship %d", counts[TraceDeliver], counts[TraceShip])
@@ -56,8 +58,8 @@ func TestTraceRecordsEpochsAndMessages(t *testing.T) {
 			shipped += ev.Arg2
 		}
 	}
-	if shipped != u.Stats.MsgsSent() {
-		t.Fatalf("shipped %d messages in trace, stat says %d", shipped, u.Stats.MsgsSent())
+	if shipped != u.Stats.Snapshot().MsgsSent {
+		t.Fatalf("shipped %d messages in trace, stat says %d", shipped, u.Stats.Snapshot().MsgsSent)
 	}
 	if u.TraceDropped() != 0 {
 		t.Fatalf("dropped %d with ample capacity", u.TraceDropped())
@@ -71,15 +73,17 @@ func TestTraceRecordsEpochsAndMessages(t *testing.T) {
 }
 
 func TestTraceRingOverwrite(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1, ThreadsPerRank: 0, CoalesceSize: 1, TraceCapacity: 8})
+	u := New(1, WithThreads(0), WithCoalesce(1), WithTraceCapacity(8))
 	mt := Register(u, "m", func(r *Rank, m int64) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := 0; i < 100; i++ {
 				mt.SendTo(r, 0, int64(i))
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	events := u.Trace()
 	if len(events) > 8 {
 		t.Fatalf("ring returned %d events, capacity 8", len(events))
@@ -90,21 +94,25 @@ func TestTraceRingOverwrite(t *testing.T) {
 }
 
 func TestTraceDisabled(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 1})
-	u.Run(func(r *Rank) {})
+	u := New(1)
+	if err := u.Run(func(r *Rank) {}); err != nil {
+		t.Fatal(err)
+	}
 	if u.Trace() != nil || u.TraceDropped() != 0 {
 		t.Fatal("tracing should be disabled by default")
 	}
 }
 
 func TestFourCounterTraceWaves(t *testing.T) {
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, Detector: DetectorFourCounter, TraceCapacity: 1024})
+	u := New(2, WithThreads(1), WithDetector(DetectorFourCounter), WithTraceCapacity(1024))
 	mt := Register(u, "m", func(r *Rank, m int64) {})
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			mt.SendTo(r, 1-r.ID(), 1)
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	waves, success := 0, 0
 	for _, ev := range u.Trace() {
 		if ev.Kind == TraceTDWave {

@@ -35,7 +35,7 @@ type Transport interface {
 	Name() string
 
 	// reliable reports whether the backend can lose frames and therefore
-	// requires the reliable-delivery layer. NewUniverse synthesizes a
+	// requires the reliable-delivery layer. New synthesizes a
 	// zero-valued FaultPlan (full protocol, no injected faults) for a
 	// reliable backend configured without one.
 	reliable() bool

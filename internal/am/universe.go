@@ -71,102 +71,33 @@ func (m LineageMode) String() string {
 	return fmt.Sprintf("LineageMode(%d)", int(m))
 }
 
-// maxTraceRingSize bounds Config.TraceRingSize: beyond 1<<26 events per rank
+// maxTraceRingSize bounds WithTraceRingSize: beyond 1<<26 events per rank
 // (~4 GiB of TraceEvent per rank) a configuration is assumed to be a units
 // mistake rather than an intent.
 const maxTraceRingSize = 1 << 26
 
-// Config configures a simulated machine. New callers should prefer the
-// functional-options constructor New (options.go), which names exactly the
-// knobs a call site sets; the struct form remains supported for existing
-// code and for programmatic construction.
-type Config struct {
-	// Ranks is the number of simulated distributed-memory nodes (>= 1).
-	Ranks int
-	// ThreadsPerRank is the number of message-handler threads per rank.
-	// 0 is allowed: handlers then run only when a rank polls (Flush,
-	// TryFinish, or end-of-epoch progress), which gives deterministic
-	// single-threaded execution useful in tests.
+// config is the resolved construction state of a Universe. Each field is
+// set by, and documented on, its With* option (options.go).
+type config struct {
+	Ranks          int
 	ThreadsPerRank int
-	// CoalesceSize is the default number of messages buffered per
-	// (type, destination) before an envelope is shipped. 1 disables
-	// coalescing. 0 selects the default (64).
-	CoalesceSize int
-	// Detector selects the termination-detection protocol.
-	Detector DetectorKind
-	// TraceCapacity enables event tracing with per-rank rings totalling
-	// this many events (0 disables tracing). Traced events carry monotonic
-	// timestamps; epoch and delivery events become spans.
-	TraceCapacity int
-	// TraceRingSize, when > 0, sets each rank's trace ring to exactly this
-	// many events, overriding the TraceCapacity/Ranks split (and enabling
-	// tracing by itself). The default — TraceRingSize 0 with TraceCapacity
-	// set — gives each rank TraceCapacity/Ranks events (minimum 1). Use it
-	// to bound memory on lineage-heavy runs: a full ring overwrites its
-	// oldest events, which the DAG reconstructor reports as orphaned
-	// parents rather than failing. Negative values, or values above 2^26
-	// events per rank, are configuration errors and panic in NewUniverse.
-	TraceRingSize int
-	// Lineage controls causal message lineage (see LineageMode). The
-	// default, LineageAuto, turns lineage on exactly when tracing is
-	// enabled.
-	Lineage LineageMode
-	// Timing enables clock-based latency histograms: handler latency per
-	// message type, (in reliable mode) ack round-trip time, and the
-	// per-rank per-phase epoch timers (phase.go). Off by default because it
-	// adds two monotonic clock reads per delivered envelope (and per phase
-	// scope) to the hot path.
-	Timing bool
-	// UnshardedStats collapses the per-rank metric shards into a single
-	// shard, reproducing the old globally-shared-atomics layout where
-	// every rank contends on the same cache lines. It exists so the cost
-	// of that contention can be measured (experiment E17); leave it off.
+	CoalesceSize   int
+	Detector       DetectorKind
+	TraceCapacity  int
+	TraceRingSize  int
+	Lineage        LineageMode
+	Timing         bool
 	UnshardedStats bool
-	// FaultPlan, when non-nil, switches the transport into reliable mode
-	// (sequence numbers, acks, dedup, retransmit — see fault.go and
-	// reliable.go) and injects the configured faults. A zero-valued plan
-	// injects nothing but still runs the full protocol.
-	FaultPlan *FaultPlan
-	// Recovery enables epoch-granular checkpoint/restart (see recovery.go):
-	// state registered via RegisterCheckpointer is snapshotted at every
-	// epoch boundary, and a rank fault (injected crash, contained handler
-	// panic, dead link) aborts the damaged epoch, rolls every rank back to
-	// the checkpoint, restarts the dead rank, and replays. Without it a
-	// rank fault makes Universe.Run return an error.
-	Recovery bool
-	// MaxRecoveries bounds recovery attempts per epoch; a fault that
-	// persists past the budget (e.g. a deterministic handler panic that
-	// recurs on every replay) fails the run. 0 selects the default (8).
-	MaxRecoveries int
-	// Watchdog arms the stuck-epoch watchdog: when no substrate progress
-	// (deliveries, flushes, detector transitions) is observed for this
-	// long, the run fails with a diagnostic dump of the detector counters
-	// and trace rings instead of hanging. 0 disables it. Set it well above
-	// the longest legitimate gap between deliveries (long-running handler
-	// bodies included), and leave it off for latency-insensitive batch
-	// work guarded by an external test timeout.
-	Watchdog time.Duration
-	// Transport selects the message transport backend (see transport.go).
-	// nil selects the in-process channel backend (ChanTransport), the
-	// original zero-copy behavior. A backend that can lose frames (the
-	// socket backend) forces reliable mode: when FaultPlan is nil a
-	// zero-valued plan (full protocol, no injected faults) is synthesized.
-	Transport Transport
-	// MP, when non-nil, runs this universe as one worker process of a
-	// multi-process SPMD fleet (see controlplane.go and WithControlPlane):
-	// the universe hosts only ranks [MP.Lo, MP.Hi) and carries every global
-	// control operation over MP.Plane. Forces the four-counter detector and
-	// is mutually exclusive with Recovery.
-	MP *MPConfig
-	// Flight, when non-nil, attaches a black-box flight recorder (see
-	// internal/obs and flight.go): low-rate landmark events — epoch
-	// boundaries, phase transitions, faults, recovery — are mirrored into
-	// its bounded rings regardless of whether tracing is on, and the
-	// substrate persists it at epoch commits and on every fault path.
-	Flight *obs.FlightRecorder
+	FaultPlan      *FaultPlan
+	Recovery       bool
+	MaxRecoveries  int
+	Watchdog       time.Duration
+	Transport      Transport
+	MP             *MPConfig
+	Flight         *obs.FlightRecorder
 }
 
-func (c Config) withDefaults() Config {
+func (c config) withDefaults() config {
 	if c.Ranks <= 0 {
 		c.Ranks = 1
 	}
@@ -185,7 +116,7 @@ func (c Config) withDefaults() Config {
 // perRankRing resolves the per-rank trace-ring size: an explicit
 // TraceRingSize wins, otherwise TraceCapacity is split evenly across ranks.
 // 0 means tracing is disabled.
-func (c Config) perRankRing() int {
+func (c config) perRankRing() int {
 	if c.TraceRingSize > 0 {
 		return c.TraceRingSize
 	}
@@ -224,7 +155,7 @@ type envelope struct {
 // Universe is a simulated distributed machine: a set of ranks connected by
 // message queues. Register all message types before calling Run.
 type Universe struct {
-	cfg    Config
+	cfg    config
 	Stats  Stats
 	ranks  []*Rank
 	types  []*msgType
@@ -235,7 +166,7 @@ type Universe struct {
 
 	// net is the configured transport backend; tickIntNs its retransmit-
 	// clock pacing interval (0 = advance the tick on every poll).
-	net      Transport
+	net       Transport
 	tickIntNs int64
 
 	// pending counts user messages sent but not yet fully handled.
@@ -261,7 +192,7 @@ type Universe struct {
 	barrier *Barrier
 	coll    collectives
 	tracer  *tracer
-	// flight is the always-on black box (nil unless Config.Flight): trace
+	// flight is the always-on black box (nil unless WithFlightRecorder): trace
 	// and phase paths mirror landmark events into it even when the trace
 	// rings are off. See flight.go.
 	flight *obs.FlightRecorder
@@ -271,14 +202,14 @@ type Universe struct {
 	// nil check on the hot path).
 	mp *mpState
 
-	// lineage is the resolved Config.Lineage decision (LineageAuto folds to
+	// lineage is the resolved WithLineage decision (LineageAuto folds to
 	// whether tracing is on); when set, every send is stamped with its
 	// causal parent and every handler invocation gets a lineage id.
 	lineage bool
 
 	// Rank-fault containment and checkpoint/restart state (recovery.go).
 	// ckpts[rank][i] is checkpointers[i]'s snapshot for rank, retaken at
-	// every epoch boundary when Config.Recovery is on. faultMu guards
+	// every epoch boundary when WithRecovery is on. faultMu guards
 	// fault (the aborting epoch's deciding fault), faultLog, and runErr;
 	// recoveries (rank-0-only) counts rollbacks of the current epoch.
 	checkpointers []Checkpointer
@@ -313,7 +244,7 @@ type Universe struct {
 	// frozen); relPending is the outstanding-retransmit gauge (reliable
 	// mode); batchHist / latHist are per-type envelope-batch-size and
 	// handler-latency histograms; ackRTT is the ack round-trip histogram.
-	// latHist and ackRTT are nil unless Config.Timing is set.
+	// latHist and ackRTT are nil unless WithTiming is set.
 	c          *obs.Counters
 	typeC      *obs.Counters
 	relPending *obs.Gauge
@@ -321,31 +252,35 @@ type Universe struct {
 	latHist    []*obs.Histogram
 	ackRTT     *obs.Histogram
 	// phases holds the per-rank per-phase duration histograms (see phase.go);
-	// nil unless Config.Timing is set, which keeps Rank.Phase free of clock
+	// nil unless WithTiming is set, which keeps Rank.Phase free of clock
 	// reads in untimed untraced runs.
 	phases *obs.PhaseSet
 }
 
 // statShards returns the shard count of the metric write path.
-func (c Config) statShards() int {
+func (c config) statShards() int {
 	if c.UnshardedStats {
 		return 1
 	}
 	return c.Ranks
 }
 
-// NewUniverse creates a machine with the given configuration.
-func NewUniverse(cfg Config) *Universe {
+// New creates a simulated machine of `ranks` ranks configured by opts.
+func New(ranks int, opts ...Option) *Universe {
+	cfg := config{Ranks: ranks}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	cfg = cfg.withDefaults()
 	if mp := cfg.MP; mp != nil {
 		if mp.Plane == nil {
-			panic("am: Config.MP needs a ControlPlane")
+			panic("am: WithControlPlane needs a ControlPlane")
 		}
 		if mp.Lo < 0 || mp.Hi > cfg.Ranks || mp.Lo >= mp.Hi {
-			panic(fmt.Sprintf("am: Config.MP rank range [%d,%d) outside [0,%d)", mp.Lo, mp.Hi, cfg.Ranks))
+			panic(fmt.Sprintf("am: WithControlPlane rank range [%d,%d) outside [0,%d)", mp.Lo, mp.Hi, cfg.Ranks))
 		}
 		if cfg.Recovery {
-			panic("am: Config.Recovery is incompatible with Config.MP: multi-process faults abort the fleet and the launcher drives checkpoint/restart")
+			panic("am: WithRecovery is incompatible with WithControlPlane: multi-process faults abort the fleet and the launcher drives checkpoint/restart")
 		}
 		// The atomic detector counts process-local state; only the
 		// four-counter protocol generalizes to samples merged over the wire.
@@ -388,7 +323,7 @@ func NewUniverse(cfg Config) *Universe {
 	u.barrier = NewBarrier(cfg.Ranks)
 	u.coll.init(cfg.Ranks)
 	if cfg.TraceRingSize < 0 || cfg.TraceRingSize > maxTraceRingSize {
-		panic(fmt.Sprintf("am: Config.TraceRingSize %d out of range [0, %d] events per rank",
+		panic(fmt.Sprintf("am: WithTraceRingSize %d out of range [0, %d] events per rank",
 			cfg.TraceRingSize, maxTraceRingSize))
 	}
 	if per := cfg.perRankRing(); per > 0 {
@@ -413,9 +348,6 @@ func NewUniverse(cfg Config) *Universe {
 	}
 	return u
 }
-
-// Config returns the (defaulted) configuration.
-func (u *Universe) Config() Config { return u.cfg }
 
 // Ranks returns the number of ranks.
 func (u *Universe) Ranks() int { return u.cfg.Ranks }

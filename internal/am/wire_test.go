@@ -11,7 +11,7 @@ func TestGobTransportDeliversIntact(t *testing.T) {
 		Vals [4]int64
 		Tag  string
 	}
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 8})
+	u := New(2, WithThreads(1), WithCoalesce(8))
 	var sum atomic.Int64
 	var handled atomic.Int64
 	mt := Register(u, "wire", func(r *Rank, m payload) {
@@ -22,7 +22,7 @@ func TestGobTransportDeliversIntact(t *testing.T) {
 		}
 	}).WithGobTransport()
 	const per = 100
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			for i := 0; i < per; i++ {
 				mt.SendTo(r, 1-r.ID(), payload{
@@ -30,7 +30,9 @@ func TestGobTransportDeliversIntact(t *testing.T) {
 				})
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if handled.Load() != 2*per {
 		t.Fatalf("handled %d", handled.Load())
 	}
@@ -41,7 +43,7 @@ func TestGobTransportDeliversIntact(t *testing.T) {
 	if sum.Load() != want {
 		t.Fatalf("sum=%d want %d (payload corrupted in transit)", sum.Load(), want)
 	}
-	if u.Stats.WireBytes() == 0 {
+	if u.Stats.Snapshot().WireBytes == 0 {
 		t.Fatal("no wire bytes accounted")
 	}
 }
@@ -51,7 +53,7 @@ func TestGobTransportWithReduction(t *testing.T) {
 		K uint64
 		V int64
 	}
-	u := NewUniverse(Config{Ranks: 2, ThreadsPerRank: 1, CoalesceSize: 1 << 20})
+	u := New(2, WithThreads(1), WithCoalesce(1<<20))
 	var handled atomic.Int64
 	mt := Register(u, "upd", func(r *Rank, m upd) { handled.Add(1) }).
 		WithGobTransport().
@@ -59,7 +61,7 @@ func TestGobTransportWithReduction(t *testing.T) {
 			func(m upd) uint64 { return m.K },
 			func(old, in upd) (upd, bool) { return old, false },
 		)
-	u.Run(func(r *Rank) {
+	if err := u.Run(func(r *Rank) {
 		r.Epoch(func(ep *Epoch) {
 			if r.ID() == 0 {
 				for i := 0; i < 50; i++ {
@@ -67,7 +69,9 @@ func TestGobTransportWithReduction(t *testing.T) {
 				}
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if handled.Load() != 10 {
 		t.Fatalf("handled %d, want 10 (reduction through wire transport)", handled.Load())
 	}

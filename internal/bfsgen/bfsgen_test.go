@@ -30,13 +30,13 @@ func TestGeneratedSourceIsCurrent(t *testing.T) {
 func TestGeneratedBFSMatchesSequential(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{}, 321)
 	want := seq.BFS(n, edges, 0)
-	u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+	u := am.New(4, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 4)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lvl := pmap.NewVertexWord(d, pattern.Inf)
 	bfs := NewBfs(u, g, lvl)
 	bfs.SetWork(func(r *am.Rank, v distgraph.Vertex) { bfs.InvokeAsync(r, v) })
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		if g.Owner(0) == r.ID() {
 			lvl.Set(r.ID(), 0, 0)
 		}
@@ -46,7 +46,9 @@ func TestGeneratedBFSMatchesSequential(t *testing.T) {
 				bfs.Invoke(r, 0)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := lvl.Gather()
 	for v := range want {
 		w := want[v]

@@ -243,6 +243,12 @@ func Decode(b []byte) (*Snapshot, error) {
 	}
 	for i := 0; i < nRanks && d.Err == nil; i++ {
 		nBlobs := int(d.U32())
+		// Every blob carries a 4-byte length, so a count the remaining bytes
+		// cannot hold is corrupt; rejecting it first keeps a forged count
+		// from sizing a huge allocation.
+		if rem := len(d.B) - d.Off; nBlobs > rem/4 {
+			return nil, fmt.Errorf("%w: %d blobs in %d remaining bytes", ErrCorrupt, nBlobs, rem)
+		}
 		blobs := make([][]byte, 0, nBlobs)
 		for j := 0; j < nBlobs && d.Err == nil; j++ {
 			blobs = append(blobs, d.Bytes())

@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -164,4 +167,61 @@ func TestFileRoundTripAndAtomicity(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("leftover files: %v", ents)
 	}
+}
+
+// forgedBlobCount is a 46-byte DPCK with a valid CRC-64 whose one rank
+// claims 200 000 000 blobs: a decoder that trusts the count allocates
+// gigabytes before noticing the bytes are missing.
+func forgedBlobCount() []byte {
+	var e Enc
+	e.B = append(e.B, Magic...)
+	e.U16(Version)
+	e.U64(1)   // run id
+	e.I64(0)   // epoch
+	e.U32(0)   // lo
+	e.U32(1)   // hi
+	e.U32(1)   // ranks
+	e.U32(2e8) // blobs of rank 0
+	e.U64(Checksum(e.B))
+	return e.B
+}
+
+func TestDecodeBoundsBlobCount(t *testing.T) {
+	b := forgedBlobCount()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged blob count: err = %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding a %d-byte file allocated %d bytes", len(b), got)
+	}
+}
+
+// FuzzCheckpointDecode feeds outside bytes to Decode. Each input is a file
+// body whose CRC-64 trailer is recomputed before decoding, so mutations
+// reach the body parser instead of stopping at the checksum. Nothing may
+// panic, every failure but a version mismatch must be ErrCorrupt, and
+// whatever decodes must re-encode to the same bytes.
+func FuzzCheckpointDecode(f *testing.F) {
+	for _, b := range [][]byte{testSnapshot().Encode(), forgedBlobCount()} {
+		f.Add(b[:len(b)-8])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var e Enc
+		e.B = append(e.B, body...)
+		e.U64(Checksum(body))
+		s, err := Decode(e.B)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "unsupported checkpoint version") {
+				t.Fatalf("unclassified error: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(s.Encode(), e.B) {
+			t.Fatalf("decode/encode round trip differs for %x", body)
+		}
+	})
 }

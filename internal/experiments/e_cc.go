@@ -21,11 +21,11 @@ func E3CCPacing(sc Scale) []*harness.Table {
 		"flush-every", "searches", "claims", "conflicts", "jump-rounds", "messages", "time", "wrong")
 	gopts := distgraph.Options{Symmetrize: true}
 	for _, fe := range []int{1, 8, 64, 1 << 30} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, gopts, pattern.DefaultPlanOptions(), 4, am.WithThreads(2))
 		c := algorithms.NewCC(e.eng, e.lm)
 		c.FlushEvery = fe
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { c.Run(r) })
+			mustRun(e.u, func(r *am.Rank) { c.Run(r) })
 		})
 		claims := int64(n) - c.SearchesStarted()
 		conflicts := c.Search.Stats.ModsChanged.Load() - claims

@@ -22,11 +22,11 @@ func E16Chaos(sc Scale) []*harness.Table {
 	t := harness.NewTable("E16: fault overhead vs drop rate (fixed-point SSSP, 4 ranks x 2 threads)",
 		"transport", "drop", "messages", "envelopes", "acks", "dropped", "retransmits", "dup-suppressed", "ctrl-msgs", "bytes", "time", "wrong")
 	run := func(name string, plan *am.FaultPlan) {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, FaultPlan: plan},
-			n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(),
+			4, am.WithThreads(2), am.WithCoalesce(64), am.WithFaultPlan(plan))
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		})
 		drop := "-"
 		if plan != nil {

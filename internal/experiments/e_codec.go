@@ -78,9 +78,9 @@ func e20Run(sc Scale, algo, detName string, det am.DetectorKind, codec string,
 	if algo == "cc" {
 		gopts.Symmetrize = true
 	}
-	e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: 64, Detector: det,
-		FaultPlan: &am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}},
-		n, edges, gopts, pattern.DefaultPlanOptions())
+	e := newEnv(n, edges, gopts, pattern.DefaultPlanOptions(),
+		4, am.WithThreads(2), am.WithCoalesce(64), am.WithDetector(det),
+		am.WithFaultPlan(&am.FaultPlan{Seed: harness.DeriveSeed(sc.Seed, "e20/"+algo+"/"+detName)}))
 	switch codec {
 	case "gob":
 		e.eng.MsgType().WithGobTransport()

@@ -19,27 +19,27 @@ func E14Codegen(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E14: pattern translator (generated code) vs engine vs hand-written",
 		"impl", "messages", "handlers", "time", "wrong")
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	const ranks, threads = 4, 2
 
 	// Interpretive engine.
 	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		s := algorithms.NewSSSP(e.eng)
-		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
+		d := harness.Time(func() { mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) }) })
 		t.Add(row([]any{"engine (interpretive)"}, statCells(e.u, "messages", "handlers"), d,
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 	}
 	// Translator-generated.
 	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := am.New(ranks, am.WithThreads(threads))
 		benchTrack(u)
-		d := distgraph.NewBlockDist(n, cfg.Ranks)
+		d := distgraph.NewBlockDist(n, ranks)
 		g := distgraph.Build(d, edges, defaultGOpts())
 		dist := pmap.NewVertexWord(d, pattern.Inf)
 		relax := ssspgen.NewRelax(u, g, dist, pmap.WeightMap(g))
 		relax.SetWork(func(r *am.Rank, v distgraph.Vertex) { relax.InvokeAsync(r, v) })
 		dur := harness.Time(func() {
-			u.Run(func(r *am.Rank) {
+			mustRun(u, func(r *am.Rank) {
 				if g.Owner(0) == r.ID() {
 					dist.Set(r.ID(), 0, 0)
 				}
@@ -56,11 +56,11 @@ func E14Codegen(sc Scale) []*harness.Table {
 	}
 	// Hand-written.
 	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := am.New(ranks, am.WithThreads(threads))
 		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
 		h := algorithms.NewHandSSSP(u, g)
-		dur := harness.Time(func() { u.Run(func(r *am.Rank) { h.Run(r, 0) }) })
+		dur := harness.Time(func() { mustRun(u, func(r *am.Rank) { h.Run(r, 0) }) })
 		t.Add(row([]any{"hand-written"}, statCells(u, "messages", "handlers"), dur,
 			checkSSSP(h.Dist.Gather(), n, edges, 0))...)
 	}

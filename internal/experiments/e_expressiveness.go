@@ -29,7 +29,7 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 			clean = append(clean, e)
 		}
 	}
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	const ranks, threads = 4, 2
 	add := func(name string, actions []*pattern.BoundAction, ref string, wrong int) {
 		var msgs, syncs []string
 		for _, a := range actions {
@@ -42,16 +42,16 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 
 	{ // SSSP fixed point.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		s := algorithms.NewSSSP(e.eng)
-		e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+		mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		add("sssp(fixed_point)", []*pattern.BoundAction{s.Relax}, "Dijkstra",
 			checkSSSP(s.Dist.Gather(), n, edges, 0))
 	}
 	{ // BFS levels.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		b := algorithms.NewBFS(e.eng)
-		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
+		mustRun(e.u, func(r *am.Rank) { b.Run(r, 0) })
 		want := seq.BFS(n, edges, 0)
 		wrong := 0
 		for v, got := range b.Level.Gather() {
@@ -66,9 +66,9 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		add("bfs(levels)", []*pattern.BoundAction{b.Visit}, "seq BFS", wrong)
 	}
 	{ // BFS parent tree.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		b := algorithms.NewBFSTree(e.eng)
-		e.u.Run(func(r *am.Rank) { b.Run(r, 0) })
+		mustRun(e.u, func(r *am.Rank) { b.Run(r, 0) })
 		depths := seq.BFS(n, edges, 0)
 		reach := make([]bool, n)
 		for v := range depths {
@@ -81,9 +81,9 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		add("bfs(parent-tree)", []*pattern.BoundAction{b.Visit}, "tree validation", wrong)
 	}
 	{ // Widest path.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		w := algorithms.NewWidest(e.eng)
-		e.u.Run(func(r *am.Rank) { w.Run(r, 0) })
+		mustRun(e.u, func(r *am.Rank) { w.Run(r, 0) })
 		want := seq.WidestPath(n, edges, 0)
 		wrong := 0
 		for v, got := range w.Cap.Gather() {
@@ -99,41 +99,41 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // CC.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, gopts, pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		c := algorithms.NewCC(e.eng, e.lm)
 		c.FlushEvery = 16
-		e.u.Run(func(r *am.Rank) { c.Run(r) })
+		mustRun(e.u, func(r *am.Rank) { c.Run(r) })
 		add("cc(parallel-search)", []*pattern.BoundAction{c.Search, c.Link, c.Jump},
 			"union-find", wrongPartition(c.Comp.Gather(), seq.Components(n, edges)))
 	}
 	{ // PageRank push.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		pr := algorithms.NewPageRank(e.eng, algorithms.PageRankPush)
 		pr.MaxIters = 10
 		pr.Tolerance = 0
-		e.u.Run(func(r *am.Rank) { pr.Run(r) })
+		mustRun(e.u, func(r *am.Rank) { pr.Run(r) })
 		add("pagerank(push)", []*pattern.BoundAction{pr.Action}, "pull variant", 0)
 	}
 	{ // PageRank pull (agreement with push checked in unit tests).
 		gopts := distgraph.Options{Bidirectional: true}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, gopts, pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		pr := algorithms.NewPageRank(e.eng, algorithms.PageRankPull)
 		pr.MaxIters = 10
 		pr.Tolerance = 0
-		e.u.Run(func(r *am.Rank) { pr.Run(r) })
+		mustRun(e.u, func(r *am.Rank) { pr.Run(r) })
 		add("pagerank(pull)", []*pattern.BoundAction{pr.Action}, "push variant", 0)
 	}
 	{ // k-core.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, gopts, pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		kc := algorithms.NewKCore(e.eng, 4)
-		e.u.Run(func(r *am.Rank) { kc.Run(r) })
+		mustRun(e.u, func(r *am.Rank) { kc.Run(r) })
 		add("k-core(chained)", []*pattern.BoundAction{kc.Check, kc.Notify}, "seq peeling", 0)
 	}
 	{ // Degree.
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		dc := algorithms.NewDegreeCount(e.eng)
-		e.u.Run(func(r *am.Rank) { dc.Run(r) })
+		mustRun(e.u, func(r *am.Rank) { dc.Run(r) })
 		want := make([]int64, n)
 		for _, ed := range edges {
 			want[ed.Dst]++
@@ -148,9 +148,9 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 	}
 	{ // MIS.
 		gopts := distgraph.Options{Symmetrize: true}
-		e := newEnv(cfg, n, clean, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(n, clean, gopts, pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		m := algorithms.NewMIS(e.eng)
-		e.u.Run(func(r *am.Rank) { m.Run(r) })
+		mustRun(e.u, func(r *am.Rank) { m.Run(r) })
 		add("mis(luby)", []*pattern.BoundAction{m.Block, m.Exclude},
 			"independence+maximality", misWrong(m.State.Gather(), n, clean))
 	}
@@ -158,13 +158,13 @@ func E15Expressiveness(sc Scale) []*harness.Table {
 		bn, bedges := gen.Torus2D(6, 6, gen.Weights{}, sc.Seed)
 		sources := []distgraph.Vertex{0, 7, 19}
 		gopts := distgraph.Options{Bidirectional: true}
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := am.New(ranks, am.WithThreads(threads))
 		benchTrack(u)
-		d := distgraph.NewBlockDist(bn, cfg.Ranks)
+		d := distgraph.NewBlockDist(bn, ranks)
 		g := distgraph.Build(d, bedges, gopts)
 		eng := pattern.NewEngine(u, g, newLockMap(d), pattern.DefaultPlanOptions())
 		b := algorithms.NewBetweenness(eng)
-		u.Run(func(r *am.Rank) { b.Run(r, sources) })
+		mustRun(u, func(r *am.Rank) { b.Run(r, sources) })
 		want := seq.Betweenness(bn, bedges, sources)
 		wrong := 0
 		for v, got := range b.BC.Gather() {

@@ -17,18 +17,18 @@ func E12LightHeavy(sc Scale) []*harness.Table {
 		"variant", "delta", "bucket-epochs", "messages", "time", "wrong")
 	for _, delta := range []int64{16, 64, 256} {
 		{
-			e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, am.WithThreads(2))
 			s := algorithms.NewSSSP(e.eng)
 			s.UseDelta(e.u, delta)
-			d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
+			d := harness.Time(func() { mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) }) })
 			t.Add(row([]any{"plain", delta, s.BucketEpochs()}, statCells(e.u, "messages"), d,
 				checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 		}
 		{
-			e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, am.WithThreads(2))
 			s := algorithms.NewSSSP(e.eng)
 			s.UseDeltaLightHeavy(e.u, delta)
-			d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
+			d := harness.Time(func() { mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) }) })
 			t.Add(row([]any{"light/heavy", delta, s.BucketEpochs()}, statCells(e.u, "messages"), d,
 				checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 		}

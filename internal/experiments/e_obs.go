@@ -15,7 +15,7 @@ import (
 //
 // E17a runs the fixed-point SSSP under four configurations: the single-shard
 // legacy counter layout (every rank contending on one set of cache lines —
-// the pre-obs global-atomics design, reproduced via Config.UnshardedStats),
+// the pre-obs global-atomics design, reproduced via WithUnshardedStats),
 // the default per-rank sharded layout, and then each optional layer on top
 // (timing histograms, span tracing). Sharding must not be slower than the
 // global layout; timing and tracing buy their data with bounded overhead.
@@ -32,21 +32,21 @@ func E17Observability(sc Scale) []*harness.Table {
 		"config", "messages", "min-time", "median", "vs-unsharded")
 	configs := []struct {
 		name string
-		cfg  am.Config
+		opts []am.Option
 	}{
-		{"unsharded counters (legacy)", am.Config{Ranks: 4, ThreadsPerRank: 2, UnshardedStats: true}},
-		{"sharded counters", am.Config{Ranks: 4, ThreadsPerRank: 2}},
-		{"+ timing histograms", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true}},
-		{"+ span tracing", am.Config{Ranks: 4, ThreadsPerRank: 2, Timing: true, TraceCapacity: 1 << 20}},
+		{"unsharded counters (legacy)", []am.Option{am.WithThreads(2), am.WithUnshardedStats()}},
+		{"sharded counters", []am.Option{am.WithThreads(2)}},
+		{"+ timing histograms", []am.Option{am.WithThreads(2), am.WithTiming()}},
+		{"+ span tracing", []am.Option{am.WithThreads(2), am.WithTiming(), am.WithTraceCapacity(1 << 20)}},
 	}
 	const reps = 5
 	us := make([]*am.Universe, len(configs))
 	times := make([][]time.Duration, len(configs))
 	iter := func(i int) time.Duration {
 		return harness.Time(func() {
-			e := newEnv(configs[i].cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, configs[i].opts...)
 			s := algorithms.NewSSSP(e.eng)
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 			us[i] = e.u
 		})
 	}

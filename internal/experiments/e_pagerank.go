@@ -25,12 +25,12 @@ func E13PushPull(sc Scale) []*harness.Table {
 			gopts.Bidirectional = true
 			name = "pull(in_edges)"
 		}
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, gopts, pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, gopts, pattern.DefaultPlanOptions(), 4, am.WithThreads(2))
 		pr := algorithms.NewPageRank(e.eng, mode)
 		pr.MaxIters = iters
 		pr.Tolerance = 0
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { pr.Run(r) })
+			mustRun(e.u, func(r *am.Rank) { pr.Run(r) })
 		})
 		ranks[i] = pr.Rank.Gather()
 		maxDiff := int64(0)

@@ -54,7 +54,7 @@ func runThreeLoc(n int, edges []distgraph.Edge, popts pattern.PlanOptions) (*am.
 	}
 	relax := bound.Action("relax")
 	fp := strategy.NewFixedPoint(relax)
-	u.Run(func(r *am.Rank) {
+	mustRun(u, func(r *am.Rank) {
 		viaMap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 			viaMap.Set(r.ID(), v, int64((uint32(v)*2654435761)%uint32(n)))
 		})
@@ -247,7 +247,7 @@ func E11PointerJump(Scale) []*harness.Table {
 		}
 		jump := bound.Action("cc_jump")
 		nRounds := 0
-		u.Run(func(r *am.Rank) {
+		mustRun(u, func(r *am.Rank) {
 			cmap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 				if v == 0 {
 					cmap.Set(r.ID(), v, 0)

@@ -17,12 +17,12 @@ func E1Strategies(sc Scale) []*harness.Table {
 	t := harness.NewTable("E1: SSSP strategies (RMAT scale "+itoa(sc.RMATScale)+", "+itoa(len(edges))+" edges)",
 		"strategy", "delta", "bucket-epochs", "relax-attempts", "relax-success", "messages", "time", "wrong")
 	run := func(name string, delta int64, mk func(u *am.Universe, s *algorithms.SSSP)) {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, am.WithThreads(2))
 		s := algorithms.NewSSSP(e.eng)
 		mk(e.u, s)
 		var dur string
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		})
 		dur = d.String()
 		attempts := s.Relax.Stats.TestsTrue.Load() + s.Relax.Stats.TestsFalse.Load()
@@ -48,10 +48,10 @@ func E5Coalescing(sc Scale) []*harness.Table {
 	t := harness.NewTable("E5: coalescing factor (fixed-point SSSP)",
 		"coalesce", "messages", "envelopes", "bytes", "time", "wrong")
 	for _, cs := range []int{1, 4, 16, 64, 256, 1024} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, CoalesceSize: cs}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, am.WithThreads(2), am.WithCoalesce(cs))
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		})
 		t.Add(row([]any{cs}, statCells(e.u, "messages", "envelopes", "bytes"),
 			d, checkSSSP(s.Dist.Gather(), n, edges, 0))...)
@@ -75,7 +75,7 @@ func E6Reduction(sc Scale) []*harness.Table {
 			h.WithReductionCache()
 		}
 		d := harness.Time(func() {
-			u.Run(func(r *am.Rank) { h.Run(r, 0) })
+			mustRun(u, func(r *am.Rank) { h.Run(r, 0) })
 		})
 		name := "off"
 		if cached {
@@ -96,9 +96,9 @@ func E7Scaling(sc Scale) []*harness.Table {
 	var base float64
 	for _, rc := range [][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}, {8, 2}} {
 		min, _ := harness.MinMed(3, func() {
-			e := newEnv(am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+			e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), rc[0], am.WithThreads(rc[1]))
 			s := algorithms.NewSSSP(e.eng)
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		})
 		if base == 0 {
 			base = float64(min)
@@ -112,10 +112,10 @@ func E7Scaling(sc Scale) []*harness.Table {
 	ugopts.Symmetrize = true
 	for _, rc := range [][2]int{{1, 1}, {2, 2}, {4, 2}, {8, 2}} {
 		min, _ := harness.MinMed(3, func() {
-			e := newEnv(am.Config{Ranks: rc[0], ThreadsPerRank: rc[1]}, n, edges, ugopts, pattern.DefaultPlanOptions())
+			e := newEnv(n, edges, ugopts, pattern.DefaultPlanOptions(), rc[0], am.WithThreads(rc[1]))
 			c := algorithms.NewCC(e.eng, e.lm)
 			c.FlushEvery = 64
-			e.u.Run(func(r *am.Rank) { c.Run(r) })
+			mustRun(e.u, func(r *am.Rank) { c.Run(r) })
 		})
 		if ccBase == 0 {
 			ccBase = float64(min)
@@ -133,20 +133,20 @@ func E8Termination(sc Scale) []*harness.Table {
 	t := harness.NewTable("E8: termination detection",
 		"workload", "detector", "ctrl-msgs", "td-waves", "time", "wrong")
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, am.WithThreads(2), am.WithDetector(det))
 		s := algorithms.NewSSSP(e.eng)
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		})
 		t.Add(row([]any{"fixed_point", det.String()}, statCells(e.u, "ctrl-msgs", "td-waves"), d,
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 	}
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		e := newEnv(am.Config{Ranks: 4, ThreadsPerRank: 2, Detector: det}, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), 4, am.WithThreads(2), am.WithDetector(det))
 		s := algorithms.NewSSSP(e.eng)
 		s.UseDeltaDistributed(e.u, 64, 2)
 		d := harness.Time(func() {
-			e.u.Run(func(r *am.Rank) { s.Run(r, 0) })
+			mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) })
 		})
 		t.Add(row([]any{"delta-dist(try_finish)", det.String()}, statCells(e.u, "ctrl-msgs", "td-waves"), d,
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
@@ -161,38 +161,38 @@ func E9Abstraction(sc Scale) []*harness.Table {
 	n, edges := workload(sc)
 	t := harness.NewTable("E9: abstraction overhead (pattern engine vs hand-written AM++)",
 		"algorithm", "impl", "messages", "handlers", "time", "wrong")
-	cfg := am.Config{Ranks: 4, ThreadsPerRank: 2}
+	const ranks, threads = 4, 2
 
 	// SSSP.
 	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		s := algorithms.NewSSSP(e.eng)
-		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { s.Run(r, 0) }) })
+		d := harness.Time(func() { mustRun(e.u, func(r *am.Rank) { s.Run(r, 0) }) })
 		t.Add(row([]any{"sssp", "pattern"}, statCells(e.u, "messages", "handlers"), d,
 			checkSSSP(s.Dist.Gather(), n, edges, 0))...)
 	}
 	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := am.New(ranks, am.WithThreads(threads))
 		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
 		h := algorithms.NewHandSSSP(u, g)
-		d := harness.Time(func() { u.Run(func(r *am.Rank) { h.Run(r, 0) }) })
+		d := harness.Time(func() { mustRun(u, func(r *am.Rank) { h.Run(r, 0) }) })
 		t.Add(row([]any{"sssp", "hand-written"}, statCells(u, "messages", "handlers"), d,
 			checkSSSP(h.Dist.Gather(), n, edges, 0))...)
 	}
 	// BFS.
 	{
-		e := newEnv(cfg, n, edges, defaultGOpts(), pattern.DefaultPlanOptions())
+		e := newEnv(n, edges, defaultGOpts(), pattern.DefaultPlanOptions(), ranks, am.WithThreads(threads))
 		b := algorithms.NewBFS(e.eng)
-		d := harness.Time(func() { e.u.Run(func(r *am.Rank) { b.Run(r, 0) }) })
+		d := harness.Time(func() { mustRun(e.u, func(r *am.Rank) { b.Run(r, 0) }) })
 		t.Add(row([]any{"bfs", "pattern"}, statCells(e.u, "messages", "handlers"), d, "-")...)
 	}
 	{
-		u := am.New(cfg.Ranks, am.WithConfig(cfg))
+		u := am.New(ranks, am.WithThreads(threads))
 		benchTrack(u)
 		g := buildGraph(u, n, edges, defaultGOpts())
 		h := algorithms.NewHandBFS(u, g)
-		d := harness.Time(func() { u.Run(func(r *am.Rank) { h.Run(r, 0) }) })
+		d := harness.Time(func() { mustRun(u, func(r *am.Rank) { h.Run(r, 0) }) })
 		t.Add(row([]any{"bfs", "hand-written"}, statCells(u, "messages", "handlers"), d, "-")...)
 	}
 	return []*harness.Table{t}

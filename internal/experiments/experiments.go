@@ -78,15 +78,23 @@ type env struct {
 	edges []distgraph.Edge
 }
 
-func newEnv(cfg am.Config, n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions) *env {
-	u := am.New(cfg.Ranks, am.WithConfig(cfg))
+func newEnv(n int, edges []distgraph.Edge, gopts distgraph.Options, popts pattern.PlanOptions, ranks int, opts ...am.Option) *env {
+	u := am.New(ranks, opts...)
 	benchTrack(u)
-	d := distgraph.NewBlockDist(n, cfg.Ranks)
+	d := distgraph.NewBlockDist(n, ranks)
 	g := distgraph.Build(d, edges, gopts)
 	lm := pmap.NewLockMap(d, 1)
 	return &env{
 		u: u, g: g, lm: lm, n: n, edges: edges,
 		eng: pattern.NewEngine(u, g, lm, popts),
+	}
+}
+
+// mustRun runs body on u and panics if the run failed: a faulted run's
+// numbers are not results.
+func mustRun(u *am.Universe, body func(r *am.Rank)) {
+	if err := u.Run(body); err != nil {
+		panic(fmt.Sprintf("experiments: run failed: %v", err))
 	}
 }
 

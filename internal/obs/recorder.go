@@ -329,27 +329,36 @@ func LoadFlightDump(path string) (*FlightDump, error) {
 	if err != nil {
 		return nil, err
 	}
+	d, err := decodeFlightDump(b)
+	if err != nil {
+		return nil, fmt.Errorf("obs: flight dump %s: %w", path, err)
+	}
+	return d, nil
+}
+
+// decodeFlightDump validates and parses the bytes of a dump file.
+func decodeFlightDump(b []byte) (*FlightDump, error) {
 	hdr := len(flightMagic) + 1 + 4
 	if len(b) < hdr+8 {
-		return nil, fmt.Errorf("obs: flight dump %s: truncated (%d bytes)", path, len(b))
+		return nil, fmt.Errorf("truncated (%d bytes)", len(b))
 	}
 	if string(b[:4]) != flightMagic {
-		return nil, fmt.Errorf("obs: flight dump %s: bad magic %q", path, b[:4])
+		return nil, fmt.Errorf("bad magic %q", b[:4])
 	}
 	if b[4] != flightVersion {
-		return nil, fmt.Errorf("obs: flight dump %s: version %d, want %d", path, b[4], flightVersion)
+		return nil, fmt.Errorf("version %d, want %d", b[4], flightVersion)
 	}
 	n := int(binary.LittleEndian.Uint32(b[5:9]))
 	if len(b) != hdr+n+8 {
-		return nil, fmt.Errorf("obs: flight dump %s: body length %d does not match file size %d", path, n, len(b))
+		return nil, fmt.Errorf("body length %d does not match file size %d", n, len(b))
 	}
 	want := binary.LittleEndian.Uint64(b[hdr+n:])
 	if got := ckpt.Checksum(b[:hdr+n]); got != want {
-		return nil, fmt.Errorf("obs: flight dump %s: checksum mismatch (got %016x want %016x)", path, got, want)
+		return nil, fmt.Errorf("checksum mismatch (got %016x want %016x)", got, want)
 	}
 	var d FlightDump
 	if err := json.Unmarshal(b[hdr:hdr+n], &d); err != nil {
-		return nil, fmt.Errorf("obs: flight dump %s: body: %w", path, err)
+		return nil, fmt.Errorf("body: %w", err)
 	}
 	return &d, nil
 }

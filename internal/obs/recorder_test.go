@@ -5,9 +5,12 @@ package obs
 // rejection of truncated, corrupted, and mislabeled files.
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"declpat/internal/ckpt"
 )
 
 func testRecorder(path string) *FlightRecorder {
@@ -115,7 +118,7 @@ func TestFlightRecorderEpochWindowBounded(t *testing.T) {
 	}
 }
 
-func writeDump(t *testing.T, dir string) string {
+func writeDump(t testing.TB, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "flight-0.dpfr")
 	f := testRecorder(path)
@@ -211,4 +214,22 @@ func TestFlightPersistAtomic(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("%d files left in dump dir, want only the dump", len(ents))
 	}
+}
+
+// FuzzFlightDump feeds outside bytes to the dump decoder. Each input is a
+// dump file without its checksum trailer, which is recomputed before
+// decoding so mutations reach the header checks and the JSON body instead
+// of stopping at the checksum. Nothing may panic.
+func FuzzFlightDump(f *testing.F) {
+	b, err := os.ReadFile(writeDump(f, f.TempDir()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b[:len(b)-8])
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		sealed := binary.LittleEndian.AppendUint64(append([]byte(nil), raw...), ckpt.Checksum(raw))
+		if d, err := decodeFlightDump(sealed); err == nil && d == nil {
+			t.Fatal("nil dump without an error")
+		}
+	})
 }

@@ -18,17 +18,17 @@ import (
 func TestRandomPatternsRun(t *testing.T) {
 	const n = 32
 	edges := gen.ER(n, 96, gen.Weights{Min: 1, Max: 9}, 5)
-	cfgs := []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 3, ThreadsPerRank: 2},
+	cfgs := []engineConfig{
+		{ranks: 1, threads: 0},
+		{ranks: 3, threads: 2},
 	}
 	for seed := uint64(0); seed < 60; seed++ {
 		var items [2]int64
 		for i, cfg := range cfgs {
 			rng := rand.New(rand.NewPCG(seed, 99))
 			p := randomPattern(rng)
-			u := am.NewUniverse(cfg)
-			d := distgraph.NewBlockDist(n, cfg.Ranks)
+			u := cfg.universe()
+			d := distgraph.NewBlockDist(n, cfg.ranks)
 			g := distgraph.Build(d, edges, distgraph.Options{Bidirectional: true})
 			lm := pmap.NewLockMap(d, 1)
 			eng := NewEngine(u, g, lm, DefaultPlanOptions())
@@ -38,7 +38,7 @@ func TestRandomPatternsRun(t *testing.T) {
 				switch pr.Kind {
 				case VertexWordProp:
 					m := pmap.NewVertexWord(d, 0)
-					for r := 0; r < cfg.Ranks; r++ {
+					for r := 0; r < cfg.ranks; r++ {
 						m.ForEachLocal(r, func(v distgraph.Vertex, _ int64) {
 							m.Set(r, v, int64(valRng.IntN(n)))
 						})
@@ -59,14 +59,16 @@ func TestRandomPatternsRun(t *testing.T) {
 				t.Fatalf("seed %d: bind: %v", seed, err)
 			}
 			act := bound.Action("act")
-			u.Run(func(r *am.Rank) {
+			if err := u.Run(func(r *am.Rank) {
 				r.Epoch(func(ep *am.Epoch) {
 					lg := g.Local(r.ID())
 					for li := 0; li < lg.NumLocal(); li++ {
 						act.Invoke(r, g.Dist().Global(r.ID(), li))
 					}
 				})
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			items[i] = act.Stats.Items.Load()
 		}
 		if items[0] != items[1] && items[1] != 0 {

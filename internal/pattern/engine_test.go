@@ -12,10 +12,9 @@ import (
 
 // runSSSP executes a fixed-point SSSP through the raw engine (the strategy
 // layer is exercised in its own package) and returns the gathered distances.
-func runSSSP(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, src distgraph.Vertex, opts PlanOptions) []int64 {
+func runSSSP(t *testing.T, u *am.Universe, n int, edges []distgraph.Edge, src distgraph.Vertex, opts PlanOptions) []int64 {
 	t.Helper()
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(dist, 1)
 	eng := NewEngine(u, g, lm, opts)
@@ -29,7 +28,7 @@ func runSSSP(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, src dis
 	relax := bound.Action("relax")
 	relax.SetWork(func(r *am.Rank, v distgraph.Vertex) { relax.InvokeAsync(r, v) })
 
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		if r.ID() == g.Owner(src) {
 			dmap.Set(r.ID(), src, 0)
 		}
@@ -39,17 +38,29 @@ func runSSSP(t *testing.T, cfg am.Config, n int, edges []distgraph.Edge, src dis
 				relax.Invoke(r, src)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return dmap.Gather()
 }
 
-func engineConfigs() []am.Config {
-	return []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 1, ThreadsPerRank: 2},
-		{Ranks: 3, ThreadsPerRank: 1},
-		{Ranks: 4, ThreadsPerRank: 2},
-		{Ranks: 2, ThreadsPerRank: 2, Detector: am.DetectorFourCounter},
+// engineConfig is one machine shape the engine tests run on.
+type engineConfig struct {
+	ranks, threads int
+	det            am.DetectorKind
+}
+
+func (c engineConfig) universe() *am.Universe {
+	return am.New(c.ranks, am.WithThreads(c.threads), am.WithDetector(c.det))
+}
+
+func engineConfigs() []engineConfig {
+	return []engineConfig{
+		{ranks: 1, threads: 0},
+		{ranks: 1, threads: 2},
+		{ranks: 3, threads: 1},
+		{ranks: 4, threads: 2},
+		{ranks: 2, threads: 2, det: am.DetectorFourCounter},
 	}
 }
 
@@ -57,7 +68,7 @@ func TestEngineSSSPMatchesDijkstra(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 50}, 11)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, cfg := range engineConfigs() {
-		got := runSSSP(t, cfg, n, edges, 0, DefaultPlanOptions())
+		got := runSSSP(t, cfg.universe(), n, edges, 0, DefaultPlanOptions())
 		for v := range want {
 			w := want[v]
 			if w == seq.Inf {
@@ -81,7 +92,7 @@ func TestEngineSSSPPlanVariants(t *testing.T) {
 		{Merge: true, Fold: true, NaiveDFS: true},
 	}
 	for _, opts := range variants {
-		got := runSSSP(t, am.Config{Ranks: 3, ThreadsPerRank: 1}, n, edges, 0, opts)
+		got := runSSSP(t, am.New(3, am.WithThreads(1)), n, edges, 0, opts)
 		for v := range want {
 			w := want[v]
 			if w == seq.Inf {
@@ -99,7 +110,7 @@ func TestEngineSSSPPlanVariants(t *testing.T) {
 func TestEnginePointerJumpRuntime(t *testing.T) {
 	const n = 16
 	for _, ranks := range []int{1, 4} {
-		u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 1})
+		u := am.New(ranks, am.WithThreads(1))
 		dist := distgraph.NewBlockDist(n, ranks)
 		// Graph structure is irrelevant for a GenNone action; a path
 		// keeps the builder happy.
@@ -122,7 +133,7 @@ func TestEnginePointerJumpRuntime(t *testing.T) {
 		}
 		jump := bound.Action("cc_jump")
 
-		u.Run(func(r *am.Rank) {
+		if err := u.Run(func(r *am.Rank) {
 			// chg[i] = i-1 (chg[0] = 0): a chain pointing down.
 			cmap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 				if v == 0 {
@@ -142,7 +153,9 @@ func TestEnginePointerJumpRuntime(t *testing.T) {
 					}
 				})
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for v, c := range cmap.Gather() {
 			if c != 0 {
 				t.Fatalf("ranks=%d: chg[%d]=%d after jumping, want 0", ranks, v, c)
@@ -156,7 +169,7 @@ func TestEnginePointerJumpRuntime(t *testing.T) {
 func TestEngineSetInsert(t *testing.T) {
 	n, edges := gen.Torus2D(4, 4, gen.Weights{}, 0)
 	for _, ranks := range []int{1, 3} {
-		u := am.NewUniverse(am.Config{Ranks: ranks, ThreadsPerRank: 1})
+		u := am.New(ranks, am.WithThreads(1))
 		dist := distgraph.NewBlockDist(n, ranks)
 		g := distgraph.Build(dist, edges, distgraph.Options{})
 		lm := pmap.NewLockMap(dist, 1)
@@ -173,14 +186,16 @@ func TestEngineSetInsert(t *testing.T) {
 			t.Fatalf("bind: %v", err)
 		}
 		rec := bound.Action("record")
-		u.Run(func(r *am.Rank) {
+		if err := u.Run(func(r *am.Rank) {
 			r.Epoch(func(ep *am.Epoch) {
 				lg := g.Local(r.ID())
 				for li := 0; li < lg.NumLocal(); li++ {
 					rec.Invoke(r, g.Dist().Global(r.ID(), li))
 				}
 			})
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		// Check against the edge list.
 		want := map[distgraph.Vertex]map[distgraph.Vertex]bool{}
 		for _, e := range edges {
@@ -207,7 +222,7 @@ func TestEngineSetInsert(t *testing.T) {
 // the adj generator and checks the SSSP-style invariant for one round.
 func TestEngineAdjGenerator(t *testing.T) {
 	n, edges := gen.Torus2D(3, 3, gen.Weights{}, 0)
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 1})
+	u := am.New(2, am.WithThreads(1))
 	dist := distgraph.NewBlockDist(n, 2)
 	g := distgraph.Build(dist, edges, distgraph.Options{Symmetrize: true})
 	lm := pmap.NewLockMap(dist, 1)
@@ -227,7 +242,7 @@ func TestEngineAdjGenerator(t *testing.T) {
 	prop := bound.Action("prop")
 	prop.SetWork(func(r *am.Rank, v distgraph.Vertex) { prop.InvokeAsync(r, v) })
 
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		lmap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
 			lmap.Set(r.ID(), v, int64(v)+100)
 		})
@@ -238,7 +253,9 @@ func TestEngineAdjGenerator(t *testing.T) {
 				prop.Invoke(r, g.Dist().Global(r.ID(), li))
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// The torus is connected: with the work hook re-running to a fixed
 	// point, every vertex ends at the global minimum label.
 	for v, l := range lmap.Gather() {
@@ -255,7 +272,7 @@ func TestEngineAdjGenerator(t *testing.T) {
 // `once` strategy.
 func TestEngineModifiedFlag(t *testing.T) {
 	n := 8
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 0})
+	u := am.New(2, am.WithThreads(0))
 	dist := distgraph.NewBlockDist(n, 2)
 	g := distgraph.Build(dist, gen.Path(n, gen.Weights{}, 0), distgraph.Options{})
 	lm := pmap.NewLockMap(dist, 1)
@@ -272,7 +289,7 @@ func TestEngineModifiedFlag(t *testing.T) {
 		t.Fatalf("bind: %v", err)
 	}
 	cap_ := bound.Action("cap")
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		for round := 0; round < 2; round++ {
 			cap_.ResetModified(r)
 			r.Barrier()
@@ -290,12 +307,14 @@ func TestEngineModifiedFlag(t *testing.T) {
 				t.Error("round 1: expected a fixed point")
 			}
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestEngineBindErrors checks binding validation.
 func TestEngineBindErrors(t *testing.T) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
+	u := am.New(1)
 	dist := distgraph.NewBlockDist(4, 1)
 	g := distgraph.Build(dist, gen.Path(4, gen.Weights{}, 0), distgraph.Options{})
 	eng := NewEngine(u, g, pmap.NewLockMap(dist, 1), DefaultPlanOptions())
@@ -316,9 +335,8 @@ func TestEngineHandWrittenEquivalence(t *testing.T) {
 	want := seq.Dijkstra(n, edges, 0)
 
 	// Hand-written: one message type carrying (target, candidate dist).
-	cfg := am.Config{Ranks: 3, ThreadsPerRank: 1}
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+	u := am.New(3, am.WithThreads(1))
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	dmap := pmap.NewVertexWord(dist, Inf)
 	type relaxMsg struct {
@@ -333,13 +351,15 @@ func TestEngineHandWrittenEquivalence(t *testing.T) {
 			})
 		}
 	}).WithAddresser(func(m relaxMsg) int { return g.Owner(m.T) })
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		r.Epoch(func(ep *am.Epoch) {
 			if r.ID() == g.Owner(0) {
 				mt.Send(r, relaxMsg{T: 0, D: 0})
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := dmap.Gather()
 	for v := range want {
 		w := want[v]

@@ -23,7 +23,7 @@ import (
 // read-test-write atomic, so the final value is exact.
 func TestSemanticsFirstModificationSynchronized(t *testing.T) {
 	const n = 4
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 4})
+	u := am.New(2, am.WithThreads(4))
 	d := distgraph.NewBlockDist(n, 2)
 	// Star onto vertex 3: every other vertex has 64 parallel edges to it.
 	var edges []distgraph.Edge
@@ -51,14 +51,16 @@ func TestSemanticsFirstModificationSynchronized(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := bound.Action("inc")
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		r.Epoch(func(ep *am.Epoch) {
 			lg := g.Local(r.ID())
 			for li := 0; li < lg.NumLocal(); li++ {
 				inc.Invoke(r, g.Dist().Global(r.ID(), li))
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	// 192 increment attempts against a cap of 150: exactly 150 land.
 	if got := xm.Get(d.Owner(3), 3); got != 150 {
 		t.Fatalf("x[3] = %d, want exactly 150 (first-modification synchronization)", got)
@@ -72,7 +74,7 @@ func TestSemanticsFirstModificationSynchronized(t *testing.T) {
 // and adds from many handler threads never lose updates.
 func TestSemanticsAtomicModifications(t *testing.T) {
 	const n = 64
-	u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 4})
+	u := am.New(4, am.WithThreads(4))
 	d := distgraph.NewBlockDist(n, 4)
 	edges := gen.ER(n, 2000, gen.Weights{}, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
@@ -91,14 +93,16 @@ func TestSemanticsAtomicModifications(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := bound.Action("acc")
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		r.Epoch(func(ep *am.Epoch) {
 			lg := g.Local(r.ID())
 			for li := 0; li < lg.NumLocal(); li++ {
 				acc.Invoke(r, g.Dist().Global(r.ID(), li))
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	wantTotal := make([]int64, n)
 	wantPreds := make([]map[distgraph.Vertex]bool, n)
 	for i := range wantPreds {
@@ -126,7 +130,7 @@ func TestSemanticsAtomicModifications(t *testing.T) {
 // of the source at some point — not necessarily the latest.
 func TestSemanticsRemoteReadsUnsynchronized(t *testing.T) {
 	const n = 8
-	u := am.NewUniverse(am.Config{Ranks: 2, ThreadsPerRank: 2})
+	u := am.New(2, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 2)
 	edges := gen.Path(n, gen.Weights{}, 0)
 	g := distgraph.Build(d, edges, distgraph.Options{})
@@ -147,7 +151,7 @@ func TestSemanticsRemoteReadsUnsynchronized(t *testing.T) {
 	cp := bound.Action("copy")
 	var legalValues [2]int64
 	legalValues[0], legalValues[1] = 10, 20
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		r.Epoch(func(ep *am.Epoch) {
 			lg := g.Local(r.ID())
 			for li := 0; li < lg.NumLocal(); li++ {
@@ -158,7 +162,9 @@ func TestSemanticsRemoteReadsUnsynchronized(t *testing.T) {
 				cp.Invoke(r, v)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for v := 1; v < n; v++ {
 		got := dm.Get(d.Owner(distgraph.Vertex(v)), distgraph.Vertex(v))
 		if got != 10 && got != 20 {
@@ -172,7 +178,7 @@ func TestSemanticsRemoteReadsUnsynchronized(t *testing.T) {
 func TestSemanticsLockGranularities(t *testing.T) {
 	for _, gran := range []int{1, 8, 1 << 20} {
 		const n = 4
-		u := am.NewUniverse(am.Config{Ranks: 1, ThreadsPerRank: 4})
+		u := am.New(1, am.WithThreads(4))
 		d := distgraph.NewBlockDist(n, 1)
 		var edges []distgraph.Edge
 		for k := 0; k < 200; k++ {
@@ -193,13 +199,15 @@ func TestSemanticsLockGranularities(t *testing.T) {
 			t.Fatal(err)
 		}
 		inc := bound.Action("inc")
-		u.Run(func(r *am.Rank) {
+		if err := u.Run(func(r *am.Rank) {
 			r.Epoch(func(ep *am.Epoch) {
 				for li := 0; li < g.Local(0).NumLocal(); li++ {
 					inc.Invoke(r, distgraph.Vertex(li))
 				}
 			})
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if got := xm.Get(0, 3); got != 120 {
 			t.Fatalf("granularity %d: x[3] = %d, want 120", gran, got)
 		}

@@ -18,7 +18,7 @@ func TestEngineOverGobTransport(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 30}, 13)
 	want := seq.Dijkstra(n, edges, 0)
 
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+	u := am.New(3, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(d, 1)
@@ -33,7 +33,7 @@ func TestEngineOverGobTransport(t *testing.T) {
 	relax := bound.Action("relax")
 	relax.SetWork(func(r *am.Rank, v distgraph.Vertex) { relax.InvokeAsync(r, v) })
 
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		if g.Owner(0) == r.ID() {
 			dmap.Set(r.ID(), 0, 0)
 		}
@@ -43,7 +43,9 @@ func TestEngineOverGobTransport(t *testing.T) {
 				relax.Invoke(r, 0)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := dmap.Gather()
 	for v := range want {
 		w := want[v]
@@ -54,9 +56,9 @@ func TestEngineOverGobTransport(t *testing.T) {
 			t.Fatalf("dist[%d] = %d, want %d", v, got[v], w)
 		}
 	}
-	if u.Stats.WireBytes() == 0 {
+	if u.Stats.Snapshot().WireBytes == 0 {
 		t.Fatal("no serialized bytes — gob transport not exercised")
 	}
 	t.Logf("wire bytes: %d for %d messages (%d raw payload bytes)",
-		u.Stats.WireBytes(), u.Stats.MsgsSent(), u.Stats.BytesSent())
+		u.Stats.Snapshot().WireBytes, u.Stats.Snapshot().MsgsSent, u.Stats.Snapshot().BytesSent)
 }

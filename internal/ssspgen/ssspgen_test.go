@@ -38,17 +38,13 @@ func TestGeneratedMatchesEngineAndDijkstra(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, gen.Weights{Min: 1, Max: 60}, 123)
 	want := seq.Dijkstra(n, edges, 0)
 
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 4, ThreadsPerRank: 2},
-	} {
-		u := am.NewUniverse(cfg)
-		d := distgraph.NewBlockDist(n, cfg.Ranks)
+	for _, u := range []*am.Universe{am.New(1), am.New(4, am.WithThreads(2))} {
+		d := distgraph.NewBlockDist(n, u.Ranks())
 		g := distgraph.Build(d, edges, distgraph.Options{})
 		dist := pmap.NewVertexWord(d, pattern.Inf)
 		relax := NewRelax(u, g, dist, pmap.WeightMap(g))
 		relax.SetWork(func(r *am.Rank, v distgraph.Vertex) { relax.InvokeAsync(r, v) })
-		u.Run(func(r *am.Rank) {
+		if err := u.Run(func(r *am.Rank) {
 			if g.Owner(0) == r.ID() {
 				dist.Set(r.ID(), 0, 0)
 			}
@@ -58,7 +54,9 @@ func TestGeneratedMatchesEngineAndDijkstra(t *testing.T) {
 					relax.Invoke(r, 0)
 				}
 			})
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		got := dist.Gather()
 		for v := range want {
 			w := want[v]
@@ -66,7 +64,7 @@ func TestGeneratedMatchesEngineAndDijkstra(t *testing.T) {
 				w = pattern.Inf
 			}
 			if got[v] != w {
-				t.Fatalf("cfg %+v: dist[%d] = %d, want %d", cfg, v, got[v], w)
+				t.Fatalf("%d ranks: dist[%d] = %d, want %d", u.Ranks(), v, got[v], w)
 			}
 		}
 	}
@@ -79,13 +77,13 @@ func TestGeneratedRemoteInvoke(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 20}, 77)
 	src := distgraph.Vertex(n - 1) // owned by the last rank under block dist
 	want := seq.Dijkstra(n, edges, src)
-	u := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 1})
+	u := am.New(4, am.WithThreads(1))
 	d := distgraph.NewBlockDist(n, 4)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	dist := pmap.NewVertexWord(d, pattern.Inf)
 	relax := NewRelax(u, g, dist, pmap.WeightMap(g))
 	relax.SetWork(func(r *am.Rank, v distgraph.Vertex) { relax.InvokeAsync(r, v) })
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		if g.Owner(src) == r.ID() {
 			dist.Set(r.ID(), src, 0)
 		}
@@ -96,7 +94,9 @@ func TestGeneratedRemoteInvoke(t *testing.T) {
 				relax.Invoke(r, src)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := dist.Gather()
 	for v := range want {
 		w := want[v]
@@ -116,13 +116,13 @@ func TestGeneratedVsEngineTiming(t *testing.T) {
 	n, edges := gen.RMAT(10, 8, gen.Weights{Min: 1, Max: 60}, 7)
 
 	// Generated.
-	u1 := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+	u1 := am.New(4, am.WithThreads(2))
 	d1 := distgraph.NewBlockDist(n, 4)
 	g1 := distgraph.Build(d1, edges, distgraph.Options{})
 	dist1 := pmap.NewVertexWord(d1, pattern.Inf)
 	relax := NewRelax(u1, g1, dist1, pmap.WeightMap(g1))
 	relax.SetWork(func(r *am.Rank, v distgraph.Vertex) { relax.InvokeAsync(r, v) })
-	u1.Run(func(r *am.Rank) {
+	if err := u1.Run(func(r *am.Rank) {
 		if g1.Owner(0) == r.ID() {
 			dist1.Set(r.ID(), 0, 0)
 		}
@@ -132,15 +132,19 @@ func TestGeneratedVsEngineTiming(t *testing.T) {
 				relax.Invoke(r, 0)
 			}
 		})
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Engine.
-	u2 := am.NewUniverse(am.Config{Ranks: 4, ThreadsPerRank: 2})
+	u2 := am.New(4, am.WithThreads(2))
 	d2 := distgraph.NewBlockDist(n, 4)
 	g2 := distgraph.Build(d2, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u2, g2, pmap.NewLockMap(d2, 1), pattern.DefaultPlanOptions())
 	s := algorithms.NewSSSP(eng)
-	u2.Run(func(r *am.Rank) { s.Run(r, 0) })
+	if err := u2.Run(func(r *am.Rank) { s.Run(r, 0) }); err != nil {
+		t.Fatal(err)
+	}
 
 	got1, got2 := dist1.Gather(), s.Dist.Gather()
 	for v := range got1 {

@@ -31,9 +31,8 @@ type ssspRig struct {
 	relax *pattern.BoundAction
 }
 
-func newSSSPRig(cfg am.Config, n int, edges []distgraph.Edge) *ssspRig {
-	u := am.NewUniverse(cfg)
-	dist := distgraph.NewBlockDist(n, cfg.Ranks)
+func newSSSPRig(u *am.Universe, n int, edges []distgraph.Edge) *ssspRig {
+	dist := distgraph.NewBlockDist(n, u.Ranks())
 	g := distgraph.Build(dist, edges, distgraph.Options{})
 	lm := pmap.NewLockMap(dist, 1)
 	eng := pattern.NewEngine(u, g, lm, pattern.DefaultPlanOptions())
@@ -72,19 +71,21 @@ func seedBody(rig *ssspRig, src distgraph.Vertex) func(r *am.Rank) []distgraph.V
 func TestFixedPointSSSP(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 21)
 	want := seq.Dijkstra(n, edges, 0)
-	for _, cfg := range []am.Config{
-		{Ranks: 1, ThreadsPerRank: 0},
-		{Ranks: 4, ThreadsPerRank: 2},
-		{Ranks: 2, ThreadsPerRank: 1, Detector: am.DetectorFourCounter},
+	for _, u := range []*am.Universe{
+		am.New(1),
+		am.New(4, am.WithThreads(2)),
+		am.New(2, am.WithThreads(1), am.WithDetector(am.DetectorFourCounter)),
 	} {
-		rig := newSSSPRig(cfg, n, edges)
+		rig := newSSSPRig(u, n, edges)
 		fp := strategy.NewFixedPoint(rig.relax)
 		seeds := seedBody(rig, 0)
-		rig.u.Run(func(r *am.Rank) {
+		if err := rig.u.Run(func(r *am.Rank) {
 			s := seeds(r)
 			r.Barrier()
 			fp.Run(r, s)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		rig.check(t, want, "fixed_point")
 	}
 }
@@ -93,18 +94,17 @@ func TestDeltaSSSP(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 33)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, delta := range []int64{1, 5, 25, 1000000} {
-		for _, cfg := range []am.Config{
-			{Ranks: 1, ThreadsPerRank: 1},
-			{Ranks: 3, ThreadsPerRank: 2},
-		} {
-			rig := newSSSPRig(cfg, n, edges)
+		for _, u := range []*am.Universe{am.New(1, am.WithThreads(1)), am.New(3, am.WithThreads(2))} {
+			rig := newSSSPRig(u, n, edges)
 			d := strategy.NewDelta(rig.u, rig.relax, rig.dmap, delta)
 			seeds := seedBody(rig, 0)
-			rig.u.Run(func(r *am.Rank) {
+			if err := rig.u.Run(func(r *am.Rank) {
 				s := seeds(r)
 				r.Barrier()
 				d.Run(r, s)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			rig.check(t, want, "delta")
 			if delta == 1 && d.BucketEpochs < 2 {
 				t.Errorf("delta=1: expected multiple bucket epochs, got %d", d.BucketEpochs)
@@ -120,15 +120,16 @@ func TestDeltaDistributedSSSP(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 40}, 44)
 	want := seq.Dijkstra(n, edges, 0)
 	for _, det := range []am.DetectorKind{am.DetectorAtomic, am.DetectorFourCounter} {
-		cfg := am.Config{Ranks: 2, ThreadsPerRank: 2, Detector: det}
-		rig := newSSSPRig(cfg, n, edges)
+		rig := newSSSPRig(am.New(2, am.WithThreads(2), am.WithDetector(det)), n, edges)
 		dd := strategy.NewDeltaDistributed(rig.u, rig.relax, rig.dmap, 20, 3)
 		seeds := seedBody(rig, 0)
-		rig.u.Run(func(r *am.Rank) {
+		if err := rig.u.Run(func(r *am.Rank) {
 			s := seeds(r)
 			r.Barrier()
 			dd.Run(r, s)
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		rig.check(t, want, "delta-distributed/"+det.String())
 	}
 }
@@ -137,7 +138,7 @@ func TestOnceReachesFixedPoint(t *testing.T) {
 	// cap action: if x > 0 then x = x - 1; Once returns true while any
 	// vertex still decrements.
 	const n = 12
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 1})
+	u := am.New(3, am.WithThreads(1))
 	dist := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(dist, gen.Path(n, gen.Weights{}, 0), distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(dist, 1), pattern.DefaultPlanOptions())
@@ -155,7 +156,7 @@ func TestOnceReachesFixedPoint(t *testing.T) {
 	dec := bound.Action("dec")
 
 	rounds := make([]int, 3)
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		// x[v] = v % 4: needs exactly 3 rounds to reach zero, plus one
 		// round to observe the fixed point.
 		xmap.ForEachLocal(r.ID(), func(v distgraph.Vertex, _ int64) {
@@ -176,7 +177,9 @@ func TestOnceReachesFixedPoint(t *testing.T) {
 			}
 		}
 		rounds[r.ID()] = n
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for r, n := range rounds {
 		if n != 3 {
 			t.Fatalf("rank %d: %d decrement rounds, want 3", r, n)
@@ -190,8 +193,8 @@ func TestOnceReachesFixedPoint(t *testing.T) {
 }
 
 func TestBucketsBasics(t *testing.T) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
-	u.Run(func(r *am.Rank) {
+	u := am.New(1)
+	if err := u.Run(func(r *am.Rank) {
 		b := strategy.NewBuckets(r, 10)
 		if b.MinNonEmpty() != strategy.NoBucket {
 			t.Error("fresh buckets should be empty")
@@ -223,7 +226,9 @@ func TestBucketsBasics(t *testing.T) {
 		if b.Index(-3) != 0 {
 			t.Error("negative keys clamp to bucket 0")
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // lhPattern builds the light/heavy pattern pair directly (mirroring
@@ -247,7 +252,7 @@ func TestDeltaLightHeavyStrategy(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, gen.Weights{Min: 1, Max: 80}, 55)
 	want := seq.Dijkstra(n, edges, 0)
 	const delta = 20
-	u := am.NewUniverse(am.Config{Ranks: 3, ThreadsPerRank: 2})
+	u := am.New(3, am.WithThreads(2))
 	d := distgraph.NewBlockDist(n, 3)
 	g := distgraph.Build(d, edges, distgraph.Options{})
 	eng := pattern.NewEngine(u, g, pmap.NewLockMap(d, 1), pattern.DefaultPlanOptions())
@@ -257,7 +262,7 @@ func TestDeltaLightHeavyStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	lh := strategy.NewDeltaLightHeavy(u, bound.Action("light"), bound.Action("heavy"), dmap, delta)
-	u.Run(func(r *am.Rank) {
+	if err := u.Run(func(r *am.Rank) {
 		var seeds []distgraph.Vertex
 		if g.Owner(0) == r.ID() {
 			dmap.Set(r.ID(), 0, 0)
@@ -265,7 +270,9 @@ func TestDeltaLightHeavyStrategy(t *testing.T) {
 		}
 		r.Barrier()
 		lh.Run(r, seeds)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	got := dmap.Gather()
 	for v := range want {
 		w := want[v]
@@ -284,8 +291,8 @@ func TestDeltaLightHeavyStrategy(t *testing.T) {
 // Property: pops return exactly the inserted multiset per bucket, across
 // random insert/pop interleavings.
 func TestBucketsQuick(t *testing.T) {
-	u := am.NewUniverse(am.Config{Ranks: 1})
-	u.Run(func(r *am.Rank) {
+	u := am.New(1)
+	if err := u.Run(func(r *am.Rank) {
 		f := func(keys []uint16) bool {
 			b := strategy.NewBuckets(r, 7)
 			want := map[int]int{}
@@ -311,7 +318,9 @@ func TestBucketsQuick(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Error(err)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Property-style check: Δ-stepping with any Δ equals Dijkstra on several
@@ -321,14 +330,16 @@ func TestDeltaSweepAgainstDijkstra(t *testing.T) {
 		edges := gen.ER(64, 400, gen.Weights{Min: 1, Max: 9}, seed)
 		want := seq.Dijkstra(64, edges, 0)
 		for _, delta := range []int64{1, 3, 9, 100} {
-			rig := newSSSPRig(am.Config{Ranks: 2, ThreadsPerRank: 1}, 64, edges)
+			rig := newSSSPRig(am.New(2, am.WithThreads(1)), 64, edges)
 			d := strategy.NewDelta(rig.u, rig.relax, rig.dmap, delta)
 			seeds := seedBody(rig, 0)
-			rig.u.Run(func(r *am.Rank) {
+			if err := rig.u.Run(func(r *am.Rank) {
 				s := seeds(r)
 				r.Barrier()
 				d.Run(r, s)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			rig.check(t, want, "sweep")
 		}
 	}
